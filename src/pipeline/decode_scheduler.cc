@@ -56,7 +56,7 @@ void DecodeScheduler::run(PipelineWorkspace& ws, ThreadPool* pool) {
 
   // Routing (driving thread): a job batches when its flow asked for it
   // OR when the windowed kernel would be unsafe for its K at its tier
-  // (small-K rerouting — the fix for ROADMAP open item 1).
+  // (small-K rerouting — see ROADMAP open item 3).
   routed_.assign(n, 0);
   std::size_t n_batched = 0;
   for (std::size_t i = 0; i < n; ++i) {

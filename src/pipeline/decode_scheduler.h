@@ -9,7 +9,7 @@
 // is submitted as a DecodeJob, grouped by batch key (K, ISA tier,
 // iteration/CRC config), and dispatched as full lane groups.
 //
-// The scheduler is also the single routing authority for open item 1
+// The scheduler is also the single routing authority for open item 3
 // (ROADMAP): a block whose windowed decode would run approximate
 // multi-window kernels with too little run-in per window
 // (phy::windowed_window_too_short) is routed to the batched kernel

@@ -20,50 +20,27 @@ double time_domain_snr_db(double snr_db, int nfft) {
   return snr_db + 10.0 * std::log10(double(nfft));
 }
 
+std::string stage_histogram(Stage s) {
+  return std::string("stage.") + stage_name(s).metric + "_ns";
+}
+
+std::string stage_pmu_prefix(Stage s) {
+  return std::string("pmu.stage.") + stage_name(s).metric + ".";
+}
+
 void StageTimes::reset() { *this = StageTimes{}; }
 
 void StageTimes::merge(const StageTimes& other) {
-  mac.merge(other.mac);
-  crc_segmentation.merge(other.crc_segmentation);
-  turbo_encode.merge(other.turbo_encode);
-  rate_match.merge(other.rate_match);
-  scramble.merge(other.scramble);
-  modulation.merge(other.modulation);
-  ofdm.merge(other.ofdm);
-  channel.merge(other.channel);
-  ofdm_rx.merge(other.ofdm_rx);
-  demodulation.merge(other.demodulation);
-  descramble.merge(other.descramble);
-  rate_dematch.merge(other.rate_dematch);
-  arrange.merge(other.arrange);
-  turbo_decode.merge(other.turbo_decode);
-  desegmentation.merge(other.desegmentation);
-  gtpu.merge(other.gtpu);
-  dci.merge(other.dci);
+  for (std::size_t i = 0; i < kNumStages; ++i) acc_[i].merge(other.acc_[i]);
 }
 
 std::vector<StageTimes::Entry> StageTimes::entries() const {
   std::vector<Entry> out;
-  const auto add = [&](const char* name, const TimeAccumulator& acc) {
-    if (acc.count() > 0) out.push_back({name, acc.total_seconds()});
-  };
-  add("MAC", mac);
-  add("CRC+segmentation", crc_segmentation);
-  add("Turbo encoding", turbo_encode);
-  add("Rate matching", rate_match);
-  add("Scrambling", scramble);
-  add("Modulation", modulation);
-  add("OFDM (tx)", ofdm);
-  add("Channel", channel);
-  add("OFDM (rx)", ofdm_rx);
-  add("Demodulation", demodulation);
-  add("Descrambling", descramble);
-  add("Rate dematch", rate_dematch);
-  add("Data arrangement", arrange);
-  add("Turbo decoding", turbo_decode);
-  add("Desegmentation", desegmentation);
-  add("GTP-U", gtpu);
-  add("DCI", dci);
+  for (std::size_t i = 0; i < kNumStages; ++i) {
+    if (acc_[i].count() > 0) {
+      out.push_back({kStageNames[i].display, acc_[i].total_seconds()});
+    }
+  }
   return out;
 }
 
@@ -81,25 +58,7 @@ struct StageObs {
 /// Metric handles resolved once per pipeline. All pointers null when the
 /// config disabled metrics, making every record site a cheap branch.
 struct PipelineObs {
-  // One StageObs per StageTimes stage ("stage.<name>_ns" histogram,
-  // "pmu.stage.<name>.*" counters).
-  StageObs mac;
-  StageObs crc_segmentation;
-  StageObs turbo_encode;
-  StageObs rate_match;
-  StageObs scramble;
-  StageObs modulation;
-  StageObs ofdm;
-  StageObs channel;
-  StageObs ofdm_rx;
-  StageObs demodulation;
-  StageObs descramble;
-  StageObs rate_dematch;
-  StageObs arrange;
-  StageObs turbo_decode;
-  StageObs desegmentation;
-  StageObs gtpu;
-  StageObs dci;
+  std::array<StageObs, kNumStages> stage;
 
   // Packet-level metrics ("pipeline.*").
   obs::Histogram* latency_ns = nullptr;  ///< whole send_packet
@@ -116,38 +75,23 @@ struct PipelineObs {
     // says its pmu.* counters would have been zeros (and are absent).
     if (pmu) obs::pmu_export_availability(*m);
     const bool hw = pmu && obs::pmu_available();
-    const auto stage = [&](const char* name) {
-      StageObs s;
-      s.ns = &m->histogram(std::string("stage.") + name + "_ns");
+    for (std::size_t i = 0; i < kNumStages; ++i) {
+      const auto s = static_cast<Stage>(i);
+      stage[i].ns = &m->histogram(stage_histogram(s));
       if (hw) {
-        s.pmu = obs::PmuStageCounters::resolve(
-            *m, std::string("pmu.stage.") + name + ".");
+        stage[i].pmu = obs::PmuStageCounters::resolve(*m, stage_pmu_prefix(s));
       }
-      return s;
-    };
-    mac = stage("mac");
-    crc_segmentation = stage("crc_segmentation");
-    turbo_encode = stage("turbo_encode");
-    rate_match = stage("rate_match");
-    scramble = stage("scramble");
-    modulation = stage("modulation");
-    ofdm = stage("ofdm_tx");
-    channel = stage("channel");
-    ofdm_rx = stage("ofdm_rx");
-    demodulation = stage("demodulation");
-    descramble = stage("descramble");
-    rate_dematch = stage("rate_dematch");
-    arrange = stage("arrange");
-    turbo_decode = stage("turbo_decode");
-    desegmentation = stage("desegmentation");
-    gtpu = stage("gtpu");
-    dci = stage("dci");
+    }
     latency_ns = &m->histogram("pipeline.latency_ns");
     proc_ns = &m->histogram("pipeline.proc_ns");
     packets = &m->counter("pipeline.packets");
     delivered = &m->counter("pipeline.delivered");
     crc_fail = &m->counter("pipeline.crc_fail");
     harq_retx = &m->counter("pipeline.harq_retx");
+  }
+
+  const StageObs& operator[](Stage s) const {
+    return stage[static_cast<std::size_t>(s)];
   }
 };
 
@@ -169,19 +113,21 @@ struct PacketObs {
   std::uint32_t tti = 0;
 };
 
-/// RAII stage scope: one Stopwatch read feeds the TimeAccumulator (exact
-/// StageTimes compatibility), the stage histogram, and — when tracing —
-/// a begin/end span stamped with TTI / code-block / worker id. With
-/// hardware attribution on, the embedded PmuScope folds the stage's
-/// cycle/instruction/L1D deltas into its "pmu.stage.<name>.*" counters
-/// over exactly the stopwatch window (a no-op object otherwise).
+/// RAII stage scope: one Stopwatch read feeds the stage's TimeAccumulator
+/// (exact StageTimes compatibility), its histogram, and — when tracing —
+/// a begin/end span named after the stage and stamped with TTI /
+/// code-block / worker id. With hardware attribution on, the embedded
+/// PmuScope folds the stage's cycle/instruction/L1D deltas into its
+/// "pmu.stage.<name>.*" counters over exactly the stopwatch window (a
+/// no-op object otherwise). Per-block scopes on decode workers pass their
+/// block's `slot`, which the caller folds into po.t in block order.
 class StageScope {
  public:
-  StageScope(const PacketObs& po, TimeAccumulator& acc,
-             const detail::StageObs& so, const char* name,
-             std::int32_t block = -1)
-      : acc_(acc), h_(so.ns), trace_(po.trace), name_(name), tti_(po.tti),
-        block_(block), pmu_(so.pmu.ptr()) {
+  StageScope(const PacketObs& po, Stage s, std::int32_t block = -1,
+             TimeAccumulator* slot = nullptr)
+      : acc_(slot != nullptr ? *slot : po.t[s]), h_(po.h[s].ns),
+        trace_(po.trace), name_(stage_name(s).metric), tti_(po.tti),
+        block_(block), pmu_(po.h[s].pmu.ptr()) {
     if (trace_ != nullptr) trace_begin_ = trace_->now_ns();
   }
   ~StageScope() {
@@ -284,8 +230,7 @@ PreparedTb prepare_tb(std::span<const std::uint8_t> pdu,
   PreparedTb out;
   std::vector<std::vector<std::uint8_t>> blocks;
   {
-    StageScope st(po, po.t.crc_segmentation, po.h.crc_segmentation,
-                  "crc+segmentation");
+    StageScope st(po, Stage::kCrcSegmentation);
     auto bits = unpack_bits(pdu);
     phy::crc_attach(bits, CrcType::k24A);
     out.plan = phy::make_segmentation_plan(static_cast<int>(bits.size()));
@@ -297,8 +242,7 @@ PreparedTb prepare_tb(std::span<const std::uint8_t> pdu,
   out.codewords.reserve(static_cast<std::size_t>(out.plan.c));
   for (int i = 0; i < out.plan.c; ++i) {
     const int k = out.plan.block_size(i);
-    StageScope st(po, po.t.turbo_encode, po.h.turbo_encode, "turbo_encode",
-                  i);
+    StageScope st(po, Stage::kTurboEncode, i);
     out.codewords.push_back(
         ws.codecs().encoder(k).encode(blocks[static_cast<std::size_t>(i)]));
   }
@@ -330,14 +274,14 @@ EncodedTb phy_transmit(const PreparedTb& tb, const PipelineConfig& cfg,
                 tb.codewords.size());
   for (int i = 0; i < tb.plan.c; ++i) {
     const int k = tb.plan.block_size(i);
-    StageScope st(po, po.t.rate_match, po.h.rate_match, "rate_match", i);
+    StageScope st(po, Stage::kRateMatch, i);
     const auto e = ws.codecs().matcher(k).match(
         tb.codewords[static_cast<std::size_t>(i)], tb.e_per_block, rv);
     coded.insert(coded.end(), e.begin(), e.end());
   }
 
   {
-    StageScope st(po, po.t.scramble, po.h.scramble, "scramble");
+    StageScope st(po, Stage::kScramble);
     phy::scramble_bits(coded, phy::pusch_c_init(cfg.rnti, 0,
                                                 static_cast<int>(tti % 20),
                                                 cfg.cell_id));
@@ -345,13 +289,13 @@ EncodedTb phy_transmit(const PreparedTb& tb, const PipelineConfig& cfg,
 
   std::vector<phy::IqSample> symbols;
   {
-    StageScope st(po, po.t.modulation, po.h.modulation, "modulation");
+    StageScope st(po, Stage::kModulation);
     symbols = phy::modulate(coded, mod_of(cfg.mcs));
   }
   out.n_symbols = symbols.size();
 
   {
-    StageScope st(po, po.t.ofdm, po.h.ofdm, "ofdm_tx");
+    StageScope st(po, Stage::kOfdmTx);
     out.time = ofdm.modulate(symbols);
   }
   return out;
@@ -387,8 +331,8 @@ struct DecodedTb {
 
 /// Per-block receive-side accounting, shared between the decode phases.
 struct BlockOutcome {
-  double dematch_seconds = 0;
-  double arrange_seconds = 0;
+  TimeAccumulator dematch;
+  TimeAccumulator arrange;
   DecodeOutcome decode;  ///< written by the DecodeScheduler
 };
 
@@ -427,7 +371,7 @@ void phy_decode_front(const EncodedTb& enc, const PipelineConfig& cfg,
 
   const auto symbols = arena.make_span<phy::IqSample>(enc.n_symbols);
   {
-    StageScope st(po, po.t.ofdm_rx, po.h.ofdm_rx, "ofdm_rx");
+    StageScope st(po, Stage::kOfdmRx);
     const auto fft_scratch = arena.make_span<phy::Cf>(
         static_cast<std::size_t>(ofdm.config().nfft));
     ofdm.demodulate_into(enc.time, symbols, fft_scratch);
@@ -437,7 +381,7 @@ void phy_decode_front(const EncodedTb& enc, const PipelineConfig& cfg,
   const auto llr = arena.make_span<std::int16_t>(
       symbols.size() * static_cast<std::size_t>(phy::bits_per_symbol(mod)));
   {
-    StageScope st(po, po.t.demodulation, po.h.demodulation, "demodulation");
+    StageScope st(po, Stage::kDemodulation);
     const double n0_re =
         cfg.with_channel ? std::pow(10.0, -cfg.snr_db / 10.0) : 0.01;
     phy::demodulate_llr_into(symbols, mod,
@@ -445,7 +389,7 @@ void phy_decode_front(const EncodedTb& enc, const PipelineConfig& cfg,
   }
 
   {
-    StageScope st(po, po.t.descramble, po.h.descramble, "descramble");
+    StageScope st(po, Stage::kDescramble);
     phy::descramble_llr(llr, phy::pusch_c_init(cfg.rnti, 0,
                                                static_cast<int>(tti % 20),
                                                cfg.cell_id));
@@ -480,26 +424,6 @@ void phy_decode_front(const EncodedTb& enc, const PipelineConfig& cfg,
                            std::size_t>(phy::RateMatcher::buffer_size_for(k)));
   }
 
-  const auto dematch_block = [&](std::size_t bi) {
-    const int i = static_cast<int>(bi);
-    const auto tid = ThreadPool::current_worker_id();
-    auto& ob = per_block[bi];
-    {
-      obs::ScopedSpan span(po.trace, "rate_dematch", po.tti, i, tid);
-      obs::PmuScope pmu(po.h.rate_dematch.pmu.ptr());
-      Stopwatch sw;
-      const auto slice = std::span<const std::int16_t>(llr).subspan(
-          bi * static_cast<std::size_t>(enc.e_per_block),
-          static_cast<std::size_t>(enc.e_per_block));
-      matchers[bi]->dematch_accumulate(slice, enc.rv, w_bufs[bi]);
-      matchers[bi]->buffer_to_triples_into(w_bufs[bi], triples[bi]);
-      ob.dematch_seconds = sw.seconds();
-    }
-    if (po.h.rate_dematch.ns != nullptr) {
-      po.h.rate_dematch.ns->record(to_ns(ob.dematch_seconds));
-    }
-  };
-
   // Forced early-stop miss: the block burns max_iterations instead of
   // exiting at CRC pass / repeat detection. Keyed per (packet, block),
   // so which blocks miss is rerun- and worker-count-stable.
@@ -517,29 +441,23 @@ void phy_decode_front(const EncodedTb& enc, const PipelineConfig& cfg,
   // so one stage serves both and the scheduler only ever sees arranged
   // blocks.
   const auto arrange_block = [&](std::size_t bi) {
-    const int i = static_cast<int>(bi);
-    const auto tid = ThreadPool::current_worker_id();
-    auto& ob = per_block[bi];
-    dematch_block(bi);
+    const auto block = static_cast<std::int32_t>(bi);
     {
-      obs::ScopedSpan span(po.trace, "turbo_arrange", po.tti, i, tid);
-      // Attributed to pmu.stage.turbo_decode exactly like the fused
-      // arrange-and-decode used to be; fig15 --hw measures the
-      // arrangement kernel standalone for the isolated numbers.
-      obs::PmuScope pmu(po.h.turbo_decode.pmu.ptr());
-      Stopwatch sw;
-      arrange::Options opt;
-      opt.method = cfg.arrange_method;
-      opt.isa = cfg.isa;
-      opt.order = arrange::Order::kCanonical;
-      arrange::deinterleave3_i16(triples[bi], arranged[3 * bi],
-                                 arranged[3 * bi + 1], arranged[3 * bi + 2],
-                                 opt);
-      ob.arrange_seconds = sw.seconds();
+      StageScope st(po, Stage::kRateDematch, block, &per_block[bi].dematch);
+      const auto slice = std::span<const std::int16_t>(llr).subspan(
+          bi * static_cast<std::size_t>(enc.e_per_block),
+          static_cast<std::size_t>(enc.e_per_block));
+      matchers[bi]->dematch_accumulate(slice, enc.rv, w_bufs[bi]);
+      matchers[bi]->buffer_to_triples_into(w_bufs[bi], triples[bi]);
     }
-    if (po.h.arrange.ns != nullptr) {
-      po.h.arrange.ns->record(to_ns(ob.arrange_seconds));
-    }
+    StageScope st(po, Stage::kArrange, block, &per_block[bi].arrange);
+    arrange::Options opt;
+    opt.method = cfg.arrange_method;
+    opt.isa = cfg.isa;
+    opt.order = arrange::Order::kCanonical;
+    arrange::deinterleave3_i16(triples[bi], arranged[3 * bi],
+                               arranged[3 * bi + 1], arranged[3 * bi + 2],
+                               opt);
   };
 
   if (pool != nullptr && n_blocks > 1) {
@@ -570,8 +488,8 @@ void phy_decode_front(const EncodedTb& enc, const PipelineConfig& cfg,
     j.trace = po.trace;
     j.tti = po.tti;
     j.block = static_cast<std::int32_t>(bi);
-    j.turbo_ns = po.h.turbo_decode.ns;
-    j.pmu = po.h.turbo_decode.pmu.ptr();
+    j.turbo_ns = po.h[Stage::kTurboDecode].ns;
+    j.pmu = po.h[Stage::kTurboDecode].pmu.ptr();
     jobs.push_back(j);
   }
 
@@ -595,10 +513,10 @@ DecodedTb phy_decode_back(PacketObs& po, PipelineWorkspace& ws,
   bool all_ok = true;
   int max_iters = 0;
   for (const auto& ob : ctx.per_block) {
-    po.t.rate_dematch.add(ob.dematch_seconds);
-    po.t.arrange.add(ob.arrange_seconds);
-    po.t.turbo_decode.add(ob.decode.compute_seconds);
-    out.arrange_seconds += ob.arrange_seconds;
+    po.t[Stage::kRateDematch].merge(ob.dematch);
+    po.t[Stage::kArrange].merge(ob.arrange);
+    po.t[Stage::kTurboDecode].add(ob.decode.compute_seconds);
+    out.arrange_seconds += ob.arrange.total_seconds();
     all_ok = all_ok && ob.decode.crc_ok;
     max_iters = std::max(max_iters, ob.decode.iterations);
   }
@@ -606,7 +524,7 @@ DecodedTb phy_decode_back(PacketObs& po, PipelineWorkspace& ws,
 
   // Desegment + TB CRC.
   {
-    StageScope st(po, po.t.desegmentation, po.h.desegmentation, "deseg");
+    StageScope st(po, Stage::kDesegmentation);
     const auto views =
         arena.make_span<std::span<const std::uint8_t>>(n_blocks);
     for (std::size_t bi = 0; bi < n_blocks; ++bi) views[bi] = ctx.hard[bi];
@@ -642,6 +560,25 @@ std::unique_ptr<ThreadPool> make_decode_pool(const PipelineConfig& cfg) {
 /// HARQ redundancy-version sequence (36.212): 0 -> 2 -> 3 -> 1.
 constexpr int kRvSeq[4] = {0, 2, 3, 1};
 
+/// Downlink control: the eNB encodes the TTI's DCI grant for `n_prb`
+/// PRBs and the UE decodes it. False = control-channel failure, so no
+/// data is transmitted this TTI.
+bool dci_grant(const PipelineConfig& cfg, PacketObs& po, int n_prb) {
+  StageScope st(po, Stage::kDci);
+  phy::DciPayload grant;
+  grant.rb_start = 0;
+  grant.rb_len = static_cast<std::uint8_t>(n_prb);
+  grant.mcs = static_cast<std::uint8_t>(cfg.mcs);
+  grant.harq_id = static_cast<std::uint8_t>(po.tti % 8);
+  const auto dci_bits = phy::dci_encode(grant, cfg.rnti, 288);
+  std::vector<std::int16_t> dci_llr(dci_bits.size());
+  for (std::size_t i = 0; i < dci_bits.size(); ++i) {
+    dci_llr[i] = dci_bits[i] ? 60 : -60;
+  }
+  const auto got = phy::dci_decode(dci_llr, cfg.rnti);
+  return got.has_value() && got->rb_len == grant.rb_len;
+}
+
 namespace detail {
 
 /// One staged packet in flight (see the "Staged TTI API" in pipeline.h):
@@ -652,7 +589,7 @@ struct UplinkTti {
   std::uint32_t tti = 0;
   PreparedTb tb;
   HarqBuffers harq;
-  bool use_harq = false;
+  int max_tx = 1;    ///< transmission budget (0 = downlink grant failed)
   int tx = 0;        ///< transmissions completed (collected)
   bool active = false;
   EncodedTb enc;
@@ -664,10 +601,14 @@ struct UplinkTti {
 }  // namespace detail
 
 UplinkPipeline::UplinkPipeline(PipelineConfig cfg)
+    : UplinkPipeline(std::move(cfg), /*downlink=*/false) {}
+
+UplinkPipeline::UplinkPipeline(PipelineConfig cfg, bool downlink)
     : cfg_(cfg),
+      downlink_(downlink),
       ofdm_(cfg.ofdm, cfg.isa),
       channel_(time_domain_snr_db(cfg.snr_db, cfg.ofdm.nfft),
-               cfg.noise_seed),
+               cfg.noise_seed + (downlink ? 1 : 0)),
       pool_(make_decode_pool(cfg)),
       obs_(std::make_unique<detail::PipelineObs>(cfg.metrics, cfg.pmu)),
       ws_(cfg.codec_cache_capacity),
@@ -711,34 +652,38 @@ void UplinkPipeline::tti_begin(std::span<const std::uint8_t> ip_packet) {
   PacketObs po{times_, *obs_, cfg_.trace, st.tti};
   st.span.emplace(cfg_.trace, "packet", st.tti);
 
-  // UE MAC: size the transport block to the packet.
+  // Transmitting MAC: size the transport block to the packet.
   std::vector<std::uint8_t> pdu;
   int n_prb = 0;
   {
-    StageScope stage(po, times_.mac, obs_->mac, "mac");
+    StageScope stage(po, Stage::kMac);
     const int payload_bits =
         static_cast<int>(ip_packet.size() + mac::kMacHeaderBytes) * 8;
     n_prb = mac::prbs_for_payload(payload_bits, cfg_.mcs, cfg_.max_prb);
     const int tbs = mac::transport_block_bits(cfg_.mcs, n_prb);
     mac::MacSdu sdu;
-    sdu.lcid = 1;
+    sdu.lcid = downlink_ ? 2 : 1;
     sdu.data.assign(ip_packet.begin(), ip_packet.end());
     pdu = mac::mac_build_pdu(sdu, static_cast<std::size_t>(tbs / 8));
   }
   st.res.tb_bytes = pdu.size();
 
-  st.tb = prepare_tb(pdu, cfg_, po, n_prb, ws_);
-  st.res.code_blocks = static_cast<std::size_t>(st.tb.plan.c);
-
-  st.use_harq = cfg_.harq_max_tx > 1;
-  if (st.use_harq) st.harq.prepare(st.tb.plan, ws_);
+  if (downlink_) {
+    st.max_tx = dci_grant(cfg_, po, n_prb) ? 1 : 0;
+  } else {
+    st.max_tx = std::max(1, cfg_.harq_max_tx);
+  }
+  if (st.max_tx > 0) {
+    st.tb = prepare_tb(pdu, cfg_, po, n_prb, ws_);
+    st.res.code_blocks = static_cast<std::size_t>(st.tb.plan.c);
+  }
+  if (st.max_tx > 1) st.harq.prepare(st.tb.plan, ws_);
   st.res.latency_seconds += phase.seconds();
 }
 
 bool UplinkPipeline::tti_done() const {
   const auto& st = *state_;
-  return !st.active || st.dec.crc_ok ||
-         st.tx >= std::max(1, cfg_.harq_max_tx);
+  return !st.active || st.dec.crc_ok || st.tx >= st.max_tx;
 }
 
 void UplinkPipeline::tti_transmit() {
@@ -750,13 +695,13 @@ void UplinkPipeline::tti_transmit() {
       phy_transmit(st.tb, cfg_, st.tti, po, ofdm_, kRvSeq[st.tx % 4], ws_);
   if (cfg_.with_channel) {
     Stopwatch csw;
-    StageScope stage(po, times_.channel, obs_->channel, "channel");
+    StageScope stage(po, Stage::kChannel);
     channel_.apply(std::span<phy::Cf>(st.enc.time));
     st.res.channel_seconds += csw.seconds();
   }
   jobs_.clear();
   phy_decode_front(st.enc, cfg_, st.tti, po, ofdm_,
-                   st.use_harq ? &st.harq : nullptr, pool_.get(), ws_,
+                   st.max_tx > 1 ? &st.harq : nullptr, pool_.get(), ws_,
                    jobs_, st.ctx);
   st.res.latency_seconds += phase.seconds();
 }
@@ -779,22 +724,27 @@ PacketResult UplinkPipeline::tti_finish() {
   st.res.crc_ok = st.dec.crc_ok;
   st.res.turbo_iterations = st.dec.turbo_iterations;
 
-  // eNB MAC + GTP-U toward the EPC.
+  // Receiving MAC, then egress: GTP-U toward the EPC (uplink) or the
+  // SDU itself to the UE's IP stack (downlink).
   if (st.dec.crc_ok) {
     std::optional<mac::MacSdu> sdu;
     {
-      StageScope stage(po, times_.mac, obs_->mac, "mac");
+      StageScope stage(po, Stage::kMac);
       sdu = mac::mac_parse_pdu(st.dec.pdu);
     }
     if (sdu.has_value()) {
-      StageScope stage(po, times_.gtpu, obs_->gtpu, "gtpu");
-      st.res.egress = net::gtpu_encapsulate(cfg_.teid, sdu->data);
-      // Wire mangling on the S1-U leg: the frame still egresses
-      // (delivered = true from the eNB's perspective); the EPC side
-      // drops it and counts "net.gtpu.decap_drop".
-      if (cfg_.fault != nullptr) {
-        net::gtpu_apply_fault(st.res.egress, *cfg_.fault,
-                              fault_key(cfg_, st.tti, 0));
+      if (downlink_) {
+        st.res.egress = std::move(sdu->data);
+      } else {
+        StageScope stage(po, Stage::kGtpu);
+        st.res.egress = net::gtpu_encapsulate(cfg_.teid, sdu->data);
+        // Wire mangling on the S1-U leg: the frame still egresses
+        // (delivered = true from the eNB's perspective); the EPC side
+        // drops it and counts "net.gtpu.decap_drop".
+        if (cfg_.fault != nullptr) {
+          net::gtpu_apply_fault(st.res.egress, *cfg_.fault,
+                                fault_key(cfg_, st.tti, 0));
+        }
       }
       st.res.delivered = true;
     }
@@ -836,116 +786,6 @@ void UplinkPipeline::tti_add_decode_allocs(std::uint64_t allocs) {
 }
 
 DownlinkPipeline::DownlinkPipeline(PipelineConfig cfg)
-    : cfg_(cfg),
-      ofdm_(cfg.ofdm, cfg.isa),
-      channel_(time_domain_snr_db(cfg.snr_db, cfg.ofdm.nfft),
-               cfg.noise_seed + 1),
-      pool_(make_decode_pool(cfg)),
-      obs_(std::make_unique<detail::PipelineObs>(cfg.metrics, cfg.pmu)),
-      ws_(cfg.codec_cache_capacity),
-      sched_(std::make_unique<DecodeScheduler>(cfg.metrics)) {}
-
-DownlinkPipeline::~DownlinkPipeline() = default;
-
-PacketResult DownlinkPipeline::send_packet(
-    std::span<const std::uint8_t> ip_packet) {
-  Stopwatch total;
-  PacketResult res;
-  const std::uint32_t tti = tti_++;
-  ws_.arena().reset();  // one arena frame per packet (see uplink)
-  PacketObs po{times_, *obs_, cfg_.trace, tti};
-  obs::ScopedSpan packet_span(cfg_.trace, "packet", tti);
-
-  const auto finish = [&] {
-    res.latency_seconds = total.seconds();
-    if (obs_->packets != nullptr) {
-      obs_->packets->add();
-      if (res.delivered) obs_->delivered->add();
-      if (!res.crc_ok) obs_->crc_fail->add();
-      obs_->latency_ns->record(to_ns(res.latency_seconds));
-      obs_->proc_ns->record(
-          to_ns(res.latency_seconds - res.channel_seconds));
-    }
-  };
-
-  // eNB: de-encapsulate from the EPC side and build the MAC PDU.
-  std::vector<std::uint8_t> pdu;
-  int n_prb = 0;
-  {
-    StageScope st(po, times_.mac, obs_->mac, "mac");
-    const int payload_bits =
-        static_cast<int>(ip_packet.size() + mac::kMacHeaderBytes) * 8;
-    n_prb = mac::prbs_for_payload(payload_bits, cfg_.mcs, cfg_.max_prb);
-    const int tbs = mac::transport_block_bits(cfg_.mcs, n_prb);
-    mac::MacSdu sdu;
-    sdu.lcid = 2;
-    sdu.data.assign(ip_packet.begin(), ip_packet.end());
-    pdu = mac::mac_build_pdu(sdu, static_cast<std::size_t>(tbs / 8));
-  }
-  res.tb_bytes = pdu.size();
-
-  // DCI grant on the control channel (encode at eNB, decode at UE).
-  {
-    StageScope st(po, times_.dci, obs_->dci, "dci");
-    phy::DciPayload grant;
-    grant.rb_start = 0;
-    grant.rb_len = static_cast<std::uint8_t>(n_prb);
-    grant.mcs = static_cast<std::uint8_t>(cfg_.mcs);
-    grant.harq_id = static_cast<std::uint8_t>(tti % 8);
-    const auto dci_bits = phy::dci_encode(grant, cfg_.rnti, 288);
-    std::vector<std::int16_t> dci_llr(dci_bits.size());
-    for (std::size_t i = 0; i < dci_bits.size(); ++i) {
-      dci_llr[i] = dci_bits[i] ? 60 : -60;
-    }
-    const auto got = phy::dci_decode(dci_llr, cfg_.rnti);
-    if (!got.has_value() || got->rb_len != grant.rb_len) {
-      finish();  // control channel failure: no data transmission
-      return res;
-    }
-  }
-
-  const auto tb = prepare_tb(pdu, cfg_, po, n_prb, ws_);
-  res.code_blocks = static_cast<std::size_t>(tb.plan.c);
-  res.transmissions = 1;
-  auto enc = phy_transmit(tb, cfg_, tti, po, ofdm_, /*rv=*/0, ws_);
-
-  if (cfg_.with_channel) {
-    Stopwatch csw;
-    StageScope st(po, times_.channel, obs_->channel, "channel");
-    channel_.apply(std::span<phy::Cf>(enc.time));
-    res.channel_seconds = csw.seconds();
-  }
-
-  sched_->begin();
-  jobs_.clear();
-  DecodeCtx ctx;
-  phy_decode_front(enc, cfg_, tti, po, ofdm_, nullptr, pool_.get(), ws_,
-                   jobs_, ctx);
-  sched_->submit(jobs_);
-  {
-    const std::uint64_t a0 = alloc_stats::news();
-    sched_->run(ws_, pool_.get());
-    ctx.allocs += alloc_stats::news() - a0;
-  }
-  const auto dec = phy_decode_back(po, ws_, ctx);
-  res.crc_ok = dec.crc_ok;
-  res.turbo_iterations = dec.turbo_iterations;
-  res.arrange_seconds = dec.arrange_seconds;
-  res.decode_allocs = dec.allocs;
-
-  if (dec.crc_ok) {
-    std::optional<mac::MacSdu> sdu;
-    {
-      StageScope st(po, times_.mac, obs_->mac, "mac");
-      sdu = mac::mac_parse_pdu(dec.pdu);
-    }
-    if (sdu.has_value()) {
-      res.egress = sdu->data;  // delivered to the UE's IP stack
-      res.delivered = true;
-    }
-  }
-  finish();
-  return res;
-}
+    : link_(std::move(cfg), /*downlink=*/true) {}
 
 }  // namespace vran::pipeline

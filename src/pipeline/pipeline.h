@@ -13,7 +13,9 @@
 // APCM-vs-extract comparison of Figs. 13/14 is a one-field change.
 #pragma once
 
+#include <array>
 #include <cstdint>
+#include <iterator>
 #include <memory>
 #include <optional>
 #include <span>
@@ -49,12 +51,16 @@ struct PipelineConfig {
   double snr_db = 18.0;
   IsaLevel isa = IsaLevel::kSse41;
   arrange::Method arrange_method = arrange::Method::kApcm;
-  /// Decode same-K code blocks of one transport block batched across
-  /// SIMD lanes — one whole trellis per 8-state lane group (see
-  /// phy/turbo/turbo_batch.h) — instead of window-splitting each block.
-  /// Engages only for multi-block TBs when `isa` is AVX2 or wider;
-  /// narrower tiers and single-block TBs keep the per-block windowed
-  /// decoder. Exact per-lane boundary metrics make the batched wide
+  /// Offer a multi-block TB's code blocks to the decode scheduler for
+  /// batched decoding across SIMD lanes — one whole trellis per 8-state
+  /// lane group (see phy/turbo/turbo_batch.h) — instead of
+  /// window-splitting each block. The scheduler groups same-K blocks
+  /// across every TB it is given in one run: one TB under send_packet,
+  /// all flows' TBs (across UEs) under BatchRunner. Offered only when
+  /// `isa` is AVX2 or wider. Independently of this flag the scheduler
+  /// routes blocks too short for windowed decoding (K < 512 at AVX2,
+  /// K < 1024 at AVX-512) to the batched kernel, single-block TBs
+  /// included. Exact per-lane boundary metrics make the batched wide
   /// tiers bit-identical to single-block SSE decoding.
   bool batch_decode = true;
   std::uint16_t rnti = 0x1234;
@@ -107,48 +113,107 @@ struct PipelineConfig {
   fault::FaultInjector* fault = nullptr;
 };
 
-/// Named per-stage CPU-time accumulators.
+/// Every timed pipeline stage, transmit-to-receive order. Adding a
+/// stage takes one value here and one kStageNames row; StageTimes, the
+/// stage histograms, PMU counters, trace spans and flight-recorder slots
+/// are all indexed by it.
+enum class Stage : std::uint8_t {
+  kMac,
+  kCrcSegmentation,
+  kTurboEncode,
+  kRateMatch,
+  kScramble,
+  kModulation,
+  kOfdmTx,
+  kChannel,
+  kOfdmRx,
+  kDemodulation,
+  kDescramble,
+  kRateDematch,
+  kArrange,      ///< the paper's data-arrangement process
+  kTurboDecode,  ///< MAP iterations (excl. arrangement)
+  kDesegmentation,
+  kGtpu,
+  kDci,
+  kCount,
+};
+inline constexpr std::size_t kNumStages =
+    static_cast<std::size_t>(Stage::kCount);
+
+/// A stage's names: `display` labels StageTimes::entries() (the rows of
+/// the paper's Figs. 3/4); `metric` names its "stage.<metric>_ns"
+/// histogram, "pmu.stage.<metric>.*" counters and trace spans.
+struct StageName {
+  const char* display;
+  const char* metric;
+};
+
+/// One row per Stage, in enum order.
+inline constexpr StageName kStageNames[] = {
+    {"MAC", "mac"},
+    {"CRC+segmentation", "crc_segmentation"},
+    {"Turbo encoding", "turbo_encode"},
+    {"Rate matching", "rate_match"},
+    {"Scrambling", "scramble"},
+    {"Modulation", "modulation"},
+    {"OFDM (tx)", "ofdm_tx"},
+    {"Channel", "channel"},
+    {"OFDM (rx)", "ofdm_rx"},
+    {"Demodulation", "demodulation"},
+    {"Descrambling", "descramble"},
+    {"Rate dematch", "rate_dematch"},
+    {"Data arrangement", "arrange"},
+    {"Turbo decoding", "turbo_decode"},
+    {"Desegmentation", "desegmentation"},
+    {"GTP-U", "gtpu"},
+    {"DCI", "dci"},
+};
+static_assert(std::size(kStageNames) == kNumStages,
+              "one kStageNames row per Stage");
+
+constexpr const StageName& stage_name(Stage s) {
+  return kStageNames[static_cast<std::size_t>(s)];
+}
+/// "stage.<metric>_ns": the stage's latency histogram.
+std::string stage_histogram(Stage s);
+/// "pmu.stage.<metric>.": prefix of the stage's PMU counters.
+std::string stage_pmu_prefix(Stage s);
+
+/// Per-stage CPU-time accumulators, indexed by Stage.
 ///
 /// Thread-safety contract: NOT internally synchronized. The parallel
 /// decode path never writes a shared StageTimes from workers; each work
 /// item records into its own slot and the caller folds the slots in with
-/// merge()/TimeAccumulator::add after the join, so totals are
+/// merge()/TimeAccumulator::merge after the join, so totals are
 /// deterministic and identical for any worker count.
-struct StageTimes {
-  TimeAccumulator mac;
-  TimeAccumulator crc_segmentation;
-  TimeAccumulator turbo_encode;
-  TimeAccumulator rate_match;
-  TimeAccumulator scramble;
-  TimeAccumulator modulation;
-  TimeAccumulator ofdm;
-  TimeAccumulator channel;
-  TimeAccumulator ofdm_rx;
-  TimeAccumulator demodulation;
-  TimeAccumulator descramble;
-  TimeAccumulator rate_dematch;
-  TimeAccumulator arrange;      ///< the paper's data-arrangement process
-  TimeAccumulator turbo_decode; ///< MAP iterations (excl. arrangement)
-  TimeAccumulator desegmentation;
-  TimeAccumulator gtpu;
-  TimeAccumulator dci;
+class StageTimes {
+ public:
+  TimeAccumulator& operator[](Stage s) {
+    return acc_[static_cast<std::size_t>(s)];
+  }
+  const TimeAccumulator& operator[](Stage s) const {
+    return acc_[static_cast<std::size_t>(s)];
+  }
 
   struct Entry {
     std::string name;
     double seconds;
   };
-  /// Non-zero stages, transmit-to-receive order.
+  /// Non-zero stages by display name, in Stage order.
   std::vector<Entry> entries() const;
   void reset();
   /// Fold another StageTimes into this one, stage by stage (join-side
   /// aggregation for per-worker/per-flow accumulators).
   void merge(const StageTimes& other);
+
+ private:
+  std::array<TimeAccumulator, kNumStages> acc_;
 };
 
 namespace detail {
-/// Resolved metric handles (per-stage histograms, packet counters) —
-/// internal to pipeline.cc; owned per pipeline so name lookups happen
-/// once at construction.
+/// Resolved metric handles (per-stage histograms and PMU counters,
+/// packet counters) — internal to pipeline.cc; owned per pipeline so name
+/// lookups happen once at construction.
 struct PipelineObs;
 /// In-flight staged-TTI state (see UplinkPipeline::tti_begin) —
 /// internal to pipeline.cc.
@@ -172,7 +237,9 @@ struct PacketResult {
   /// meaningful when the counting allocator is linked (see
   /// common/alloc_stats.h); otherwise stays 0.
   std::uint64_t decode_allocs = 0;
-  std::vector<std::uint8_t> egress;  ///< GTP-U packet handed to the EPC
+  /// Uplink: the GTP-U packet handed to the EPC; downlink: the IP packet
+  /// handed to the UE.
+  std::vector<std::uint8_t> egress;
 };
 
 class UplinkPipeline {
@@ -234,7 +301,16 @@ class UplinkPipeline {
   void set_quality(int harq_max_tx, int max_turbo_iterations);
 
  private:
+  friend class DownlinkPipeline;
+  /// The downlink runs these same packet phases (see DownlinkPipeline).
+  /// Its differences from the uplink are confined to them: MAC LCID 2, a
+  /// DCI grant ahead of the data, one transmission at rv 0 (no HARQ), the
+  /// channel seeded noise_seed + 1, and the SDU itself as egress instead
+  /// of a GTP-U frame.
+  UplinkPipeline(PipelineConfig cfg, bool downlink);
+
   PipelineConfig cfg_;
+  const bool downlink_;
   StageTimes times_;
   phy::OfdmModulator ofdm_;
   phy::AwgnChannel channel_;
@@ -247,30 +323,23 @@ class UplinkPipeline {
   std::uint32_t tti_ = 0;
 };
 
-/// Downlink: eNB encodes (with a DCI grant), UE decodes.
+/// Downlink: eNB encodes (with a DCI grant), UE decodes, through the
+/// uplink's packet phases run in the downlink direction.
 class DownlinkPipeline {
  public:
   explicit DownlinkPipeline(PipelineConfig cfg);
-  ~DownlinkPipeline();
 
-  const PipelineConfig& config() const { return cfg_; }
-  StageTimes& times() { return times_; }
-  const StageTimes& times() const { return times_; }
-  const PipelineWorkspace& workspace() const { return ws_; }
+  const PipelineConfig& config() const { return link_.config(); }
+  StageTimes& times() { return link_.times(); }
+  const StageTimes& times() const { return link_.times(); }
+  const PipelineWorkspace& workspace() const { return link_.workspace(); }
 
-  PacketResult send_packet(std::span<const std::uint8_t> ip_packet);
+  PacketResult send_packet(std::span<const std::uint8_t> ip_packet) {
+    return link_.send_packet(ip_packet);
+  }
 
  private:
-  PipelineConfig cfg_;
-  StageTimes times_;
-  phy::OfdmModulator ofdm_;
-  phy::AwgnChannel channel_;
-  std::unique_ptr<ThreadPool> pool_;  ///< nullptr when num_workers <= 1
-  std::unique_ptr<detail::PipelineObs> obs_;
-  PipelineWorkspace ws_;
-  std::unique_ptr<DecodeScheduler> sched_;
-  std::vector<DecodeJob> jobs_;  ///< decode-front output, reused per TTI
-  std::uint32_t tti_ = 0;
+  UplinkPipeline link_;
 };
 
 /// Time-domain SNR that yields `snr_db` per resource element after the

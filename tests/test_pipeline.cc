@@ -2,8 +2,13 @@
 // across MCS / SNR / packet-size / arrangement-method combinations.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
+#include <vector>
+
 #include "net/gtpu.h"
 #include "net/pktgen.h"
+#include "obs/pmu.h"
 #include "pipeline/pipeline.h"
 
 namespace vran::pipeline {
@@ -122,6 +127,69 @@ TEST(Uplink, StageTimesPopulated) {
   EXPECT_TRUE(ul.times().entries().empty());
 }
 
+// Pins the exported stage names: bench_e2e's stages_us_per_tti and the
+// committed BENCH_PR*.json gates key on the display names; fig13,
+// fig16, vran_top and the postmortem --expect-stage check read the
+// "stage.<name>_ns" histograms.
+TEST(StageNames, ExportedHistogramsAndDisplayOrder) {
+  obs::MetricsRegistry reg;
+  auto cfg = base_config();
+  cfg.metrics = &reg;
+  UplinkPipeline ul(cfg);
+  DownlinkPipeline dl(cfg);
+  const auto pkt = make_packet(1024, net::L4Proto::kUdp);
+  ASSERT_TRUE(ul.send_packet(pkt).delivered);
+  ASSERT_TRUE(dl.send_packet(pkt).delivered);
+
+  std::vector<std::string> hists;
+  for (const auto& [name, h] : reg.snapshot().histograms) {
+    if (name.rfind("stage.", 0) != 0) continue;
+    hists.push_back(name);
+    EXPECT_GT(h.count, 0u) << name;  // between them, the two ran every stage
+  }
+  std::sort(hists.begin(), hists.end());
+  const std::vector<std::string> want_hists = {
+      "stage.arrange_ns",        "stage.channel_ns",
+      "stage.crc_segmentation_ns", "stage.dci_ns",
+      "stage.demodulation_ns",   "stage.descramble_ns",
+      "stage.desegmentation_ns", "stage.gtpu_ns",
+      "stage.mac_ns",            "stage.modulation_ns",
+      "stage.ofdm_rx_ns",        "stage.ofdm_tx_ns",
+      "stage.rate_dematch_ns",   "stage.rate_match_ns",
+      "stage.scramble_ns",       "stage.turbo_decode_ns",
+      "stage.turbo_encode_ns"};
+  EXPECT_EQ(hists, want_hists);
+
+  StageTimes all = ul.times();
+  all.merge(dl.times());
+  std::vector<std::string> names;
+  for (const auto& e : all.entries()) names.push_back(e.name);
+  const std::vector<std::string> want_names = {
+      "MAC",          "CRC+segmentation", "Turbo encoding", "Rate matching",
+      "Scrambling",   "Modulation",       "OFDM (tx)",      "Channel",
+      "OFDM (rx)",    "Demodulation",     "Descrambling",   "Rate dematch",
+      "Data arrangement", "Turbo decoding", "Desegmentation", "GTP-U",
+      "DCI"};
+  EXPECT_EQ(names, want_names);
+}
+
+// Runs only where perf_event_open is granted: the arrangement stage
+// feeds its own PMU counters rather than turbo decoding's.
+TEST(StagePmu, ArrangementCountsItsOwnCycles) {
+  if (!obs::pmu_available()) GTEST_SKIP() << "no perf access on this host";
+  obs::MetricsRegistry reg;
+  auto cfg = base_config();
+  cfg.metrics = &reg;
+  cfg.pmu = true;
+  UplinkPipeline ul(cfg);
+  ASSERT_TRUE(ul.send_packet(make_packet(1024, net::L4Proto::kUdp)).delivered);
+  std::uint64_t cycles = 0;
+  for (const auto& [name, v] : reg.snapshot().counters) {
+    if (name == "pmu.stage.arrange.cycles") cycles = v;
+  }
+  EXPECT_GT(cycles, 0u);
+}
+
 TEST(Uplink, NoChannelModeIsDeterministic) {
   auto cfg = base_config();
   cfg.with_channel = false;
@@ -141,7 +209,7 @@ TEST(Downlink, DeliversWithDciGrant) {
   const auto res = dl.send_packet(pkt);
   ASSERT_TRUE(res.delivered);
   EXPECT_EQ(res.egress, pkt);
-  EXPECT_GT(dl.times().dci.total_seconds(), 0.0);
+  EXPECT_GT(dl.times()[Stage::kDci].total_seconds(), 0.0);
 }
 
 TEST(Downlink, SequentialPacketsKeepDelivering) {
