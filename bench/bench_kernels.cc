@@ -1,13 +1,17 @@
 // google-benchmark micro-suite over the hot kernels: data arrangement
-// (every method x ISA x order), stride-2 splits, constituent MAP passes
-// and the full-width element kernels. Complements the figure harnesses
-// with statistically-managed per-kernel numbers.
+// (every method x ISA x order), stride-2 splits, constituent MAP passes,
+// the full-width element kernels and the receive front end (max-log
+// demap per modulation, LLR descramble per tier, bit scramble).
+// Complements the figure harnesses with statistically-managed
+// per-kernel numbers.
 #include <benchmark/benchmark.h>
 
 #include "arrange/arrange.h"
 #include "common/aligned.h"
 #include "common/cpu_features.h"
 #include "common/rng.h"
+#include "phy/modulation/modulation.h"
+#include "phy/scramble/scrambler.h"
 #include "phy/turbo/turbo_decoder.h"
 #include "phy/turbo/turbo_encoder.h"
 
@@ -116,6 +120,67 @@ void BM_TurboEncode(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) * k);
 }
 
+// Receive front end, sized like one cell_bulk code word (~4.8k symbols).
+// Symbols are noisy constellation points, as the demapper sees them.
+void BM_Demap(benchmark::State& state, phy::Modulation m, IsaLevel isa) {
+  if (isa != IsaLevel::kScalar && isa > best_isa()) {
+    state.SkipWithError("ISA tier unavailable on this CPU");
+    return;
+  }
+  const std::size_t n = static_cast<std::size_t>(state.range(0));
+  const auto points = phy::constellation(m);
+  Xoshiro256 rng(9);
+  std::vector<phy::IqSample> sym(n);
+  const auto noise = [&rng] { return static_cast<int>(rng.next() % 801) - 400; };
+  for (auto& y : sym) {
+    const auto& p = points[rng.next() % points.size()];
+    y.i = static_cast<std::int16_t>(p.i + noise());
+    y.q = static_cast<std::int16_t>(p.q + noise());
+  }
+  AlignedVector<std::int16_t> llr(n * static_cast<std::size_t>(
+                                          phy::bits_per_symbol(m)));
+  const double n0 = 0.02 * phy::kIqScale * phy::kIqScale;
+  for (auto _ : state) {
+    phy::demodulate_llr_into(sym, m, n0, llr, 8.0, isa);
+    benchmark::DoNotOptimize(llr.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(llr.size()));
+}
+
+void BM_Descramble(benchmark::State& state, IsaLevel isa) {
+  if (isa != IsaLevel::kScalar && isa > best_isa()) {
+    state.SkipWithError("ISA tier unavailable on this CPU");
+    return;
+  }
+  auto llr = random_i16(static_cast<std::size_t>(state.range(0)), 10);
+  // A new c_init per call, as per TTI in the receiver: a fixed sequence
+  // lets the branch predictor learn it.
+  std::uint32_t c_init = 0x1234567u;
+  for (auto _ : state) {
+    phy::descramble_llr(llr, c_init++, isa);
+    benchmark::DoNotOptimize(llr.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          state.range(0));
+}
+
+void BM_Scramble(benchmark::State& state) {
+  std::vector<std::uint8_t> bits(static_cast<std::size_t>(state.range(0)));
+  Xoshiro256 rng(11);
+  for (auto& b : bits) b = static_cast<std::uint8_t>(rng.next() & 1);
+  std::uint32_t c_init = 0x1234567u;
+  for (auto _ : state) {
+    phy::scramble_bits(bits, c_init++);
+    benchmark::DoNotOptimize(bits.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          state.range(0));
+}
+
 }  // namespace
 
 #define ARRANGE_BENCH(method, isa, order)                                    \
@@ -155,5 +220,30 @@ BENCHMARK_CAPTURE(BM_VecSatAdd, sse128, IsaLevel::kSse41)->Arg(65536);
 BENCHMARK_CAPTURE(BM_VecSatAdd, avx512, IsaLevel::kAvx512)->Arg(65536);
 
 BENCHMARK(BM_TurboEncode)->Arg(1024)->Arg(6144);
+
+#define DEMAP_BENCH(name, mod)                                        \
+  BENCHMARK_CAPTURE(BM_Demap, name##_scalar, phy::Modulation::k##mod,   \
+                    IsaLevel::kScalar)                                  \
+      ->Arg(4800);                                                      \
+  BENCHMARK_CAPTURE(BM_Demap, name##_sse128, phy::Modulation::k##mod,   \
+                    IsaLevel::kSse41)                                   \
+      ->Arg(4800);                                                      \
+  BENCHMARK_CAPTURE(BM_Demap, name##_avx256, phy::Modulation::k##mod,   \
+                    IsaLevel::kAvx2)                                    \
+      ->Arg(4800);                                                      \
+  BENCHMARK_CAPTURE(BM_Demap, name##_avx512, phy::Modulation::k##mod,   \
+                    IsaLevel::kAvx512)                                  \
+      ->Arg(4800)
+
+DEMAP_BENCH(qpsk, Qpsk);
+DEMAP_BENCH(qam16, 16Qam);
+DEMAP_BENCH(qam64, 64Qam);
+
+BENCHMARK_CAPTURE(BM_Descramble, scalar, IsaLevel::kScalar)->Arg(28800);
+BENCHMARK_CAPTURE(BM_Descramble, sse128, IsaLevel::kSse41)->Arg(28800);
+BENCHMARK_CAPTURE(BM_Descramble, avx256, IsaLevel::kAvx2)->Arg(28800);
+BENCHMARK_CAPTURE(BM_Descramble, avx512, IsaLevel::kAvx512)->Arg(28800);
+
+BENCHMARK(BM_Scramble)->Arg(28800);
 
 BENCHMARK_MAIN();

@@ -1,11 +1,12 @@
 #include "phy/modulation/modulation.h"
 
+#include <algorithm>
 #include <array>
 #include <cmath>
 #include <limits>
 #include <stdexcept>
 
-#include "common/saturate.h"
+#include "phy/modulation/demap_simd.h"
 
 namespace vran::phy {
 
@@ -70,6 +71,28 @@ const std::array<IqSample, 4> kQpsk = make_table<2>();
 const std::array<IqSample, 16> k16Qam = make_table<4>();
 const std::array<IqSample, 64> k64Qam = make_table<6>();
 
+/// inv = llr_scale / n0_q12, the one multiplier every LLR is scaled by.
+/// Rejects inputs that would reach lround with a NaN: a NaN or
+/// non-positive n0, and an inv that is not finite (a non-finite scale,
+/// or a subnormal n0 overflowing the division; 0 * inf is NaN).
+double llr_multiplier(double n0_q12, double llr_scale) {
+  if (!(n0_q12 > 0)) throw std::invalid_argument("demodulate_llr: n0 <= 0");
+  const double inv = llr_scale / n0_q12;
+  if (!std::isfinite(inv)) {
+    throw std::invalid_argument("demodulate_llr: llr_scale / n0 not finite");
+  }
+  return inv;
+}
+
+/// One LLR from its exact distance difference: a double multiply by
+/// inv, a clamp to the int16 range, and lround's half-away-from-zero
+/// rounding. The SIMD tiers reproduce exactly this (demap_simd.h).
+std::int16_t quantize_llr(std::int64_t diff, double inv) {
+  const double l = static_cast<double>(diff) * inv;
+  return static_cast<std::int16_t>(
+      std::lround(std::clamp(l, -32768.0, 32767.0)));
+}
+
 }  // namespace
 
 std::span<const IqSample> constellation(Modulation m) {
@@ -104,7 +127,7 @@ std::vector<IqSample> modulate(std::span<const std::uint8_t> bits,
 AlignedVector<std::int16_t> demodulate_llr_exhaustive(
     std::span<const IqSample> symbols, Modulation m, double n0_q12,
     double llr_scale) {
-  if (n0_q12 <= 0) throw std::invalid_argument("demodulate_llr: n0 <= 0");
+  const double inv = llr_multiplier(n0_q12, llr_scale);
   const int bps = bits_per_symbol(m);
   const auto table = constellation(m);
   AlignedVector<std::int16_t> llr(symbols.size() *
@@ -132,10 +155,8 @@ AlignedVector<std::int16_t> demodulate_llr_exhaustive(
     }
     for (int b = 0; b < bps; ++b) {
       // Positive when bit 1 is more likely.
-      const double l = double(d0[b] - d1[b]) / n0_q12 * llr_scale;
       llr[s * static_cast<std::size_t>(bps) + static_cast<std::size_t>(b)] =
-          sat_narrow16(static_cast<int>(std::lround(
-              std::clamp(l, -32768.0, 32767.0))));
+          quantize_llr(d0[b] - d1[b], inv);
     }
   }
   return llr;
@@ -171,28 +192,26 @@ AxisTable axis_table(Modulation m) {
 /// Max-log LLRs for one axis: out[j] for axis bit j of observation y.
 /// Integer distances keep this bit-identical to the exhaustive search
 /// (the other axis contributes the same additive constant to both
-/// hypotheses, which cancels in the difference).
-inline void axis_llrs(const AxisTable& t, std::int32_t y,
-                      double inv_n0_scale, std::int16_t* out) {
-  std::int64_t d0[3], d1[3];
+/// hypotheses, which cancels in the difference). |y - level| <=
+/// 32768 + 4424, so each square is below 2^31 and the minima and their
+/// difference are exact in int32.
+inline void axis_llrs(const AxisTable& t, std::int32_t y, double inv,
+                      std::int16_t* out) {
+  std::int32_t d0[3], d1[3];
   for (int j = 0; j < t.bits; ++j) {
-    d0[j] = std::numeric_limits<std::int64_t>::max();
+    d0[j] = std::numeric_limits<std::int32_t>::max();
     d1[j] = d0[j];
   }
   for (int g = 0; g < (1 << t.bits); ++g) {
-    const std::int64_t diff = y - t.level[g];
-    const std::int64_t d = diff * diff;
+    const std::int32_t diff = y - t.level[g];
+    const std::int32_t d = diff * diff;
     for (int j = 0; j < t.bits; ++j) {
       const bool one = ((g >> (t.bits - 1 - j)) & 1) != 0;
-      std::int64_t& slot = one ? d1[j] : d0[j];
+      std::int32_t& slot = one ? d1[j] : d0[j];
       if (d < slot) slot = d;
     }
   }
-  for (int j = 0; j < t.bits; ++j) {
-    const double l = double(d0[j] - d1[j]) * inv_n0_scale;
-    out[j] = sat_narrow16(
-        static_cast<int>(std::lround(std::clamp(l, -32768.0, 32767.0))));
-  }
+  for (int j = 0; j < t.bits; ++j) out[j] = quantize_llr(d0[j] - d1[j], inv);
 }
 
 }  // namespace
@@ -208,18 +227,36 @@ AlignedVector<std::int16_t> demodulate_llr(std::span<const IqSample> symbols,
 
 void demodulate_llr_into(std::span<const IqSample> symbols, Modulation m,
                          double n0_q12, std::span<std::int16_t> out_llr,
-                         double llr_scale) {
-  if (n0_q12 <= 0) throw std::invalid_argument("demodulate_llr: n0 <= 0");
+                         double llr_scale, IsaLevel isa) {
+  const double inv = llr_multiplier(n0_q12, llr_scale);
   const int bps = bits_per_symbol(m);
   if (out_llr.size() != symbols.size() * static_cast<std::size_t>(bps)) {
     throw std::invalid_argument("demodulate_llr_into: output size mismatch");
   }
   const AxisTable table = axis_table(m);
-  const double inv = llr_scale / n0_q12;
+  const IqSample* in = symbols.data();
+  const std::size_t n = symbols.size();
+  std::size_t done = 0;
+  switch (std::min(isa, cpu_features().best())) {
+    case IsaLevel::kAvx512:
+      done = simd::demap_avx512(in, n, table.bits, table.level, inv,
+                                out_llr.data());
+      break;
+    case IsaLevel::kAvx2:
+      done = simd::demap_avx2(in, n, table.bits, table.level, inv,
+                              out_llr.data());
+      break;
+    case IsaLevel::kSse41:
+      done = simd::demap_sse(in, n, table.bits, table.level, inv,
+                             out_llr.data());
+      break;
+    case IsaLevel::kScalar:
+      break;
+  }
   std::int16_t li[3], lq[3];
-  for (std::size_t s = 0; s < symbols.size(); ++s) {
-    axis_llrs(table, symbols[s].i, inv, li);
-    axis_llrs(table, symbols[s].q, inv, lq);
+  for (std::size_t s = done; s < n; ++s) {
+    axis_llrs(table, in[s].i, inv, li);
+    axis_llrs(table, in[s].q, inv, lq);
     std::int16_t* out = out_llr.data() + s * static_cast<std::size_t>(bps);
     for (int j = 0; j < table.bits; ++j) {
       out[2 * j] = li[j];      // even bit positions ride on I

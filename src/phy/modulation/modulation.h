@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "common/aligned.h"
+#include "common/cpu_features.h"
 
 namespace vran::phy {
 
@@ -37,9 +38,11 @@ std::vector<IqSample> modulate(std::span<const std::uint8_t> bits,
 
 /// Exact max-log demapper under AWGN with noise variance `n0_q12`
 /// (complex-noise power in the same Q12 units as the symbols):
-/// llr(b) = (min_{s:b=0} |y-s|^2 - min_{s:b=1} |y-s|^2) / n0, scaled by
-/// `llr_scale` and saturated to int16. Output has
-/// bits_per_symbol * symbols entries.
+/// llr(b) = (min_{s:b=0} |y-s|^2 - min_{s:b=1} |y-s|^2) * inv with
+/// inv = llr_scale / n0_q12 (one double multiply), clamped to the int16
+/// range and rounded half away from zero (std::lround). Output has
+/// bits_per_symbol * symbols entries. Throws std::invalid_argument
+/// unless n0_q12 > 0 and llr_scale / n0_q12 is finite.
 ///
 /// Gray-mapped square QAM is I/Q-separable, so the per-bit minima are
 /// taken over at most 8 axis levels instead of the full constellation —
@@ -50,9 +53,11 @@ AlignedVector<std::int16_t> demodulate_llr(std::span<const IqSample> symbols,
 
 /// Allocation-free variant writing into caller-provided storage;
 /// `out.size()` must be exactly bits_per_symbol(m) * symbols.size().
+/// Every `isa` tier is byte-identical (DESIGN.md §5g); it is clamped to
+/// what the CPU supports.
 void demodulate_llr_into(std::span<const IqSample> symbols, Modulation m,
                          double n0_q12, std::span<std::int16_t> out,
-                         double llr_scale = 8.0);
+                         double llr_scale = 8.0, IsaLevel isa = best_isa());
 
 /// O(2^bits)-per-symbol exhaustive reference of the same computation
 /// (tests assert bit-identical output).

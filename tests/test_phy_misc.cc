@@ -4,7 +4,9 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <numeric>
+#include <utility>
 
 #include "common/rng.h"
 #include "phy/channel/channel.h"
@@ -129,6 +131,36 @@ TEST(Modulation, RejectsBadInput) {
   std::vector<IqSample> sym(4);
   EXPECT_THROW(demodulate_llr(sym, Modulation::kQpsk, 0.0),
                std::invalid_argument);
+
+  // Scales that would reach lround with a NaN (d0 == d1 here, and
+  // 0 * inf is NaN): a NaN n0, a non-finite llr_scale, and a subnormal
+  // n0 whose 8 / n0 overflows to inf. Every entry point rejects them.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  const double subnormal = std::numeric_limits<double>::denorm_min();
+  const std::pair<double, double> bad[] = {
+      {-1.0, 8.0}, {nan, 8.0},       {-inf, 8.0}, {100.0, nan},
+      {100.0, inf}, {100.0, -inf},   {subnormal, 8.0}};
+  std::vector<std::int16_t> out(sym.size() * 2);
+  for (const auto& [n0, scale] : bad) {
+    for (const auto m : {Modulation::kQpsk, Modulation::k64Qam}) {
+      out.resize(sym.size() * static_cast<std::size_t>(bits_per_symbol(m)));
+      EXPECT_THROW(demodulate_llr(sym, m, n0, scale), std::invalid_argument)
+          << n0 << " " << scale;
+      EXPECT_THROW(demodulate_llr_exhaustive(sym, m, n0, scale),
+                   std::invalid_argument)
+          << n0 << " " << scale;
+      for (const auto isa : {IsaLevel::kScalar, best_isa()}) {
+        EXPECT_THROW(demodulate_llr_into(sym, m, n0, out, scale, isa),
+                     std::invalid_argument)
+            << n0 << " " << scale;
+      }
+    }
+  }
+  // +inf n0 is a finite (zero) multiplier: every LLR is 0.
+  for (const auto v : demodulate_llr(sym, Modulation::kQpsk, inf)) {
+    EXPECT_EQ(v, 0);
+  }
 }
 
 // ---------------------------------------------------------------------------
