@@ -1,17 +1,27 @@
 // google-benchmark micro-suite over the hot kernels: data arrangement
 // (every method x ISA x order), stride-2 splits, constituent MAP passes,
-// the full-width element kernels and the receive front end (max-log
-// demap per modulation, LLR descramble per tier, bit scramble).
+// the full-width element kernels, the receive front end (max-log
+// demap per modulation, LLR descramble per tier, bit scramble) and the
+// bit plumbing around the turbo code (CRC, rate (de)matching,
+// desegmentation).
 // Complements the figure harnesses with statistically-managed
 // per-kernel numbers.
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
+#include <span>
+#include <vector>
+
 #include "arrange/arrange.h"
 #include "common/aligned.h"
+#include "common/bitio.h"
 #include "common/cpu_features.h"
 #include "common/rng.h"
+#include "phy/crc/crc.h"
 #include "phy/modulation/modulation.h"
+#include "phy/ratematch/rate_match.h"
 #include "phy/scramble/scrambler.h"
+#include "phy/segmentation/segmentation.h"
 #include "phy/turbo/turbo_decoder.h"
 #include "phy/turbo/turbo_encoder.h"
 
@@ -181,6 +191,84 @@ void BM_Scramble(benchmark::State& state) {
                           state.range(0));
 }
 
+std::vector<std::uint8_t> random_bits(std::size_t n, std::uint64_t seed) {
+  std::vector<std::uint8_t> bits(n);
+  Xoshiro256 rng(seed);
+  for (auto& b : bits) b = static_cast<std::uint8_t>(rng.next() & 1);
+  return bits;
+}
+
+// CRC over one-bit-per-byte messages: the TB CRC24A and the per-block
+// CRC24B that the turbo decoders' early stop re-runs every iteration.
+void BM_CrcBits(benchmark::State& state, phy::CrcType t) {
+  const auto bits = random_bits(static_cast<std::size_t>(state.range(0)), 12);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(phy::crc_bits(bits, t));
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          state.range(0));
+}
+
+// Transmit-side bit selection of one code block: Args {K, E}.
+void BM_RateMatch(benchmark::State& state) {
+  const int k = static_cast<int>(state.range(0));
+  const int e = static_cast<int>(state.range(1));
+  const phy::RateMatcher rm(k);
+  const auto cw = phy::TurboEncoder(k).encode(
+      random_bits(static_cast<std::size_t>(k), 13));
+  for (auto _ : state) {
+    auto out = rm.match(cw, e, /*rv=*/0);
+    benchmark::DoNotOptimize(out.data());
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) * e);
+}
+
+// Receive-side de-rate-match of one code block, as the receiver's
+// dematch stage runs it: accumulate E LLRs into a zeroed circular
+// buffer, then scatter it into the decoder's triples. Args {K, E}.
+void BM_Dematch(benchmark::State& state) {
+  const int k = static_cast<int>(state.range(0));
+  const int e = static_cast<int>(state.range(1));
+  const phy::RateMatcher rm(k);
+  const auto llr = random_i16(static_cast<std::size_t>(e), 14);
+  AlignedVector<std::int16_t> w(static_cast<std::size_t>(rm.buffer_size()));
+  AlignedVector<std::int16_t> triples(3 * static_cast<std::size_t>(k + 4));
+  for (auto _ : state) {
+    std::fill(w.begin(), w.end(), std::int16_t{0});
+    rm.dematch_accumulate(llr, /*rv=*/0, w);
+    rm.buffer_to_triples_into(w, triples);
+    benchmark::DoNotOptimize(triples.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) * e);
+}
+
+// Receive-side desegmentation of one transport block, as the receiver's
+// desegmentation stage runs it: per-block CRC24B and reassembly, the TB
+// CRC24A, then packing the payload into bytes. Arg: TBS in bits.
+void BM_Desegment(benchmark::State& state) {
+  const auto tbs = static_cast<std::size_t>(state.range(0));
+  auto tb = random_bits(tbs, 15);
+  phy::crc_attach(tb, phy::CrcType::k24A);
+  const auto plan = phy::make_segmentation_plan(static_cast<int>(tb.size()));
+  const auto blocks = phy::segment_bits(tb, plan);
+  std::vector<std::span<const std::uint8_t>> views(blocks.begin(),
+                                                   blocks.end());
+  std::vector<std::uint8_t> bits(tb.size());
+  std::vector<std::uint8_t> pdu((tbs + 7) / 8);
+  for (auto _ : state) {
+    const bool ok = phy::desegment_bits(
+        std::span<const std::span<const std::uint8_t>>(views), plan,
+        std::span<std::uint8_t>(bits));
+    benchmark::DoNotOptimize(ok && phy::crc_check(bits, phy::CrcType::k24A));
+    pack_bits_into(std::span<const std::uint8_t>(bits).first(tbs), pdu);
+    benchmark::DoNotOptimize(pdu.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          state.range(0));
+}
+
 }  // namespace
 
 #define ARRANGE_BENCH(method, isa, order)                                    \
@@ -245,5 +333,15 @@ BENCHMARK_CAPTURE(BM_Descramble, avx256, IsaLevel::kAvx2)->Arg(28800);
 BENCHMARK_CAPTURE(BM_Descramble, avx512, IsaLevel::kAvx512)->Arg(28800);
 
 BENCHMARK(BM_Scramble)->Arg(28800);
+
+// Sized like cell_bulk: TBS 12440 (12464 bits with CRC24A), C = 3
+// blocks of K = 4224 at E = 7200.
+BENCHMARK_CAPTURE(BM_CrcBits, crc24a, phy::CrcType::k24A)->Arg(12440);
+BENCHMARK_CAPTURE(BM_CrcBits, crc24b, phy::CrcType::k24B)
+    ->Arg(4224)
+    ->Arg(6144);
+BENCHMARK(BM_RateMatch)->Args({4224, 7200})->Args({6144, 9216});
+BENCHMARK(BM_Dematch)->Args({4224, 7200})->Args({6144, 9216});
+BENCHMARK(BM_Desegment)->Arg(12440);
 
 BENCHMARK_MAIN();

@@ -22,6 +22,11 @@ namespace {
 
 constexpr int kL = 32;  // int16 lanes per zmm
 
+// GCC 12 builds the unmasked forms of many AVX-512 intrinsics from
+// _mm512_undefined_*(), which -Wmaybe-uninitialized flags once inlined;
+// the all-lanes maskz forms used instead compile to the same instructions.
+constexpr __mmask16 kAll16 = 0xFFFF;
+
 alignas(64) constexpr auto kMasks = make_lane_masks3<kL>();
 
 template <int K>
@@ -197,9 +202,11 @@ std::size_t avx512_apcm2(const std::int16_t* src, std::size_t n,
     const __m512i r0 = load64(blk);
     const __m512i r1 = load64(blk + kL);
     const __m512i a_lo = _mm512_and_si512(r0, even);
-    const __m512i a_hi = _mm512_slli_epi32(_mm512_and_si512(r1, even), 16);
-    const __m512i b_lo = _mm512_srli_epi32(_mm512_andnot_si512(even, r0), 16);
-    const __m512i b_hi = _mm512_andnot_si512(even, r1);
+    const __m512i a_hi =
+        _mm512_maskz_slli_epi32(kAll16, _mm512_and_si512(r1, even), 16);
+    const __m512i b_lo = _mm512_maskz_srli_epi32(
+        kAll16, _mm512_maskz_andnot_epi32(kAll16, even, r0), 16);
+    const __m512i b_hi = _mm512_maskz_andnot_epi32(kAll16, even, r1);
     __m512i va = _mm512_or_si512(a_lo, a_hi);
     __m512i vb = _mm512_or_si512(b_lo, b_hi);
     va = _mm512_permutexvar_epi16(fix, va);

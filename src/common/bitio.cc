@@ -1,6 +1,5 @@
 #include "common/bitio.h"
 
-#include <algorithm>
 #include <stdexcept>
 
 namespace vran {
@@ -15,7 +14,9 @@ std::vector<std::uint8_t> unpack_bits(std::span<const std::uint8_t> bytes,
     throw std::invalid_argument("unpack_bits: nbits exceeds input");
   }
   std::vector<std::uint8_t> bits(nbits);
-  for (std::size_t i = 0; i < nbits; ++i) {
+  const std::size_t whole = nbits / 8;
+  for (std::size_t i = 0; i < whole; ++i) unpack8_bits(bytes[i], &bits[8 * i]);
+  for (std::size_t i = 8 * whole; i < nbits; ++i) {
     bits[i] = (bytes[i / 8] >> (7 - (i % 8))) & 1u;
   }
   return bits;
@@ -32,9 +33,12 @@ void pack_bits_into(std::span<const std::uint8_t> bits,
   if (out.size() != (bits.size() + 7) / 8) {
     throw std::invalid_argument("pack_bits_into: output size mismatch");
   }
-  std::fill(out.begin(), out.end(), std::uint8_t{0});
-  for (std::size_t i = 0; i < bits.size(); ++i) {
-    if (bits[i] & 1u) out[i / 8] |= static_cast<std::uint8_t>(1u << (7 - (i % 8)));
+  const std::size_t whole = bits.size() / 8;
+  for (std::size_t i = 0; i < whole; ++i) out[i] = pack8_bits(&bits[8 * i]);
+  if (whole == out.size()) return;
+  out[whole] = 0;
+  for (std::size_t i = 8 * whole; i < bits.size(); ++i) {
+    out[whole] |= static_cast<std::uint8_t>((bits[i] & 1u) << (7 - i % 8));
   }
 }
 

@@ -1,5 +1,7 @@
 #include "phy/ratematch/rate_match.h"
 
+#include <emmintrin.h>
+
 #include <algorithm>
 #include <array>
 #include <stdexcept>
@@ -15,6 +17,43 @@ constexpr std::array<int, 32> kColPerm = {
     0, 16, 8,  24, 4, 20, 12, 28, 2, 18, 10, 26, 6, 22, 14, 30,
     1, 17, 9,  25, 5, 21, 13, 29, 3, 19, 11, 27, 7, 23, 15, 31};
 
+// w[i] = sat_add16_sym(w[i], x[i]). paddsw clamps to [-32768, 32767];
+// the max with -32767 lifts the one value sat_add16_sym never yields,
+// so the pair equals it for every int16 input.
+void accumulate_sym(std::int16_t* w, const std::int16_t* x, std::size_t n) {
+  const __m128i floor = _mm_set1_epi16(-32767);
+  std::size_t i = 0;
+  for (; i + 8 <= n; i += 8) {
+    auto* const acc = reinterpret_cast<__m128i*>(w + i);
+    const __m128i s = _mm_adds_epi16(
+        _mm_loadu_si128(acc),
+        _mm_loadu_si128(reinterpret_cast<const __m128i*>(x + i)));
+    _mm_storeu_si128(acc, _mm_max_epi16(s, floor));
+  }
+  for (; i < n; ++i) w[i] = sat_add16_sym(w[i], x[i]);
+}
+
+// Calls fn(run, off, n, done) over `count` consecutive non-null buffer
+// positions from position `start`, wrapping as often as needed: the
+// run's positions [w + off, w + off + n) are the done-th onwards.
+template <class Run, class Fn>
+void walk(const std::vector<Run>& runs, int start, std::size_t count,
+          Fn&& fn) {
+  // First run ending after `start`; a start inside a run begins mid-run.
+  auto it = std::find_if(runs.begin(), runs.end(),
+                         [start](const Run& r) { return r.w + r.n > start; });
+  int off = it == runs.end() ? 0 : std::max(start - it->w, 0);
+  if (it == runs.end()) it = runs.begin();
+  for (std::size_t done = 0; done < count;) {
+    const std::size_t n =
+        std::min(static_cast<std::size_t>(it->n - off), count - done);
+    fn(*it, off, n, done);
+    done += n;
+    off = 0;
+    if (++it == runs.end()) it = runs.begin();
+  }
+}
+
 }  // namespace
 
 std::span<const int> subblock_column_permutation() { return kColPerm; }
@@ -29,53 +68,37 @@ SubblockGeometry subblock_geometry(int d) {
   return g;
 }
 
-SubblockMap subblock_map(int d) {
-  SubblockMap m;
-  m.geo = subblock_geometry(d);
-  const int R = m.geo.rows;
-  const int kp = m.geo.kp;
-
-  // Streams 0 and 1: write the null-padded stream y (nulls first) row by
-  // row into an R x 32 matrix, permute columns, read column by column.
-  m.v0_src.resize(static_cast<std::size_t>(kp));
-  int out = 0;
+RateMatcher::RateMatcher(int k)
+    : k_(k), geo_(subblock_geometry(k + kTurboTail)) {
+  // Nulls are y < nulls < 32, so only row 0 of a column can hold one and
+  // each column is one run. Stream s's y has flat index 3 * (y - nulls) + s.
+  const int rows = geo_.rows, nulls = geo_.nulls;
+  int covered = 0;
+  const auto add = [&](int w, int n, int flat, bool pairs) {
+    if (n > 0) runs_.push_back({w, n, flat, pairs ? 96 : 192, pairs ? 4 : 96});
+    covered += n;
+  };
+  // Section 0, w = c * R + r: v0 column c reads y = 32 r + P[c].
   for (int c = 0; c < 32; ++c) {
     const int col = kColPerm[static_cast<std::size_t>(c)];
-    for (int r = 0; r < R; ++r) {
-      m.v0_src[static_cast<std::size_t>(out++)] = r * 32 + col;
-    }
+    const int r0 = col < nulls;
+    add(c * rows + r0, rows - r0, 3 * (32 * r0 + col - nulls), false);
   }
-
-  // Stream 2: pi(k) = (P[k / R] + 32*(k mod R) + 1) mod kp.
-  m.v2_src.resize(static_cast<std::size_t>(kp));
-  for (int k = 0; k < kp; ++k) {
-    const int col = kColPerm[static_cast<std::size_t>(k / R)];
-    m.v2_src[static_cast<std::size_t>(k)] = (col + 32 * (k % R) + 1) % kp;
+  // Section 1, w = kp + 2 t (v1) and kp + 2 t + 1 (v2), t = c * R + r:
+  // v1 reads y = 32 r + P[c], v2 reads y + 1 (flat + 4) — except that
+  // column 31's last v2 wraps to y = 0, and at P[c] + 1 == nulls row 0's
+  // v2 (d2[0]) stands alone after a null v1.
+  for (int c = 0; c < 32; ++c) {
+    const int col = kColPerm[static_cast<std::size_t>(c)];
+    const int w = geo_.kp + 2 * c * rows;
+    if (col + 1 == nulls) add(w + 1, 1, 2, false);
+    const int r0 = col < nulls, wraps = col == 31;
+    add(w + 2 * r0, 2 * (rows - r0) - wraps,
+        3 * (32 * r0 + col - nulls) + 1, true);
+    if (wraps && nulls == 0) add(w + 2 * rows - 1, 1, 2, false);
   }
-  return m;
-}
-
-RateMatcher::RateMatcher(int k) : k_(k), map_(subblock_map(k + kTurboTail)) {
-  const int kp = map_.geo.kp;
-  const int nulls = map_.geo.nulls;
-  // Flatten the circular buffer: w[j] = v0[j] for j < kp, then
-  // w[kp + 2t] = v1[t], w[kp + 2t + 1] = v2[t]. Record, for each w
-  // position, the flat d-stream index (3*pos + stream) or -1 for nulls.
-  w_src_.assign(static_cast<std::size_t>(3 * kp), -1);
-  const auto y_to_d = [nulls](int y) { return y - nulls; };  // <0 means null
-  for (int j = 0; j < kp; ++j) {
-    const int d0 = y_to_d(map_.v0_src[static_cast<std::size_t>(j)]);
-    if (d0 >= 0) w_src_[static_cast<std::size_t>(j)] = 3 * d0 + 0;
-    const int d1 = y_to_d(map_.v0_src[static_cast<std::size_t>(j)]);
-    if (d1 >= 0) w_src_[static_cast<std::size_t>(kp + 2 * j)] = 3 * d1 + 1;
-    const int d2 = y_to_d(map_.v2_src[static_cast<std::size_t>(j)]);
-    if (d2 >= 0) w_src_[static_cast<std::size_t>(kp + 2 * j + 1)] = 3 * d2 + 2;
-  }
-  for (const auto s : w_src_) usable_ += (s >= 0);
-  // Always 3*(K+4) for legal K (nulls never cover a whole stream), and
-  // the wrap-loop bounds below divide by it.
-  if (usable_ <= 0) {
-    throw std::invalid_argument("RateMatcher: no usable buffer positions");
+  if (covered != usable_size()) {
+    throw std::logic_error("RateMatcher: run table does not cover 3*(K+4)");
   }
 }
 
@@ -83,12 +106,12 @@ int RateMatcher::buffer_size_for(int k) {
   return 3 * subblock_geometry(k + kTurboTail).kp;
 }
 
-int RateMatcher::usable_size() const { return usable_; }
+int RateMatcher::usable_size() const { return 3 * geo_.d; }
 
 int RateMatcher::k0(int rv) const {
   if (rv < 0 || rv > 3) throw std::invalid_argument("rv out of range");
-  const int R = map_.geo.rows;
-  const int ncb = 3 * map_.geo.kp;
+  const int R = geo_.rows;
+  const int ncb = 3 * geo_.kp;
   return R * (2 * ((ncb + 8 * R - 1) / (8 * R)) * rv + 2);
 }
 
@@ -99,69 +122,47 @@ std::vector<std::uint8_t> RateMatcher::match(const TurboCodeword& cw, int e,
     throw std::invalid_argument("RateMatcher::match: codeword size mismatch");
   }
   if (e <= 0) throw std::invalid_argument("RateMatcher::match: e <= 0");
-  // Every full circle of the wrap loop below emits exactly usable_
-  // bits, so bounding E bounds the loop. Without this, an absurd E
-  // spins ncb iterations per usable bit — and a (hypothetical) map with
-  // no usable slot would spin forever.
-  if (e > kMaxRepetition * usable_) {
+  // E beyond the cap can only come from a corrupted grant.
+  if (e > kMaxRepetition * usable_size()) {
     throw std::invalid_argument(
         "RateMatcher::match: e exceeds repetition cap");
   }
-
-  const int ncb = 3 * map_.geo.kp;
-  const int start = k0(rv);
-  const std::int64_t max_steps =
-      static_cast<std::int64_t>(e / usable_ + 2) * ncb;
-  std::vector<std::uint8_t> out;
-  out.reserve(static_cast<std::size_t>(e));
+  std::vector<std::uint8_t> out(static_cast<std::size_t>(e));
   const std::uint8_t* streams[3] = {cw.d0.data(), cw.d1.data(), cw.d2.data()};
-  for (std::int64_t j = 0; static_cast<int>(out.size()) < e; ++j) {
-    if (j >= max_steps) {
-      throw std::logic_error("RateMatcher::match: wrap loop did not advance");
-    }
-    const int w = static_cast<int>((start + j) % ncb);
-    const std::int32_t src = w_src_[static_cast<std::size_t>(w)];
-    if (src < 0) continue;  // pruned null
-    out.push_back(streams[src % 3][src / 3]);
-  }
+  walk(runs_, k0(rv), out.size(),
+       [&](const Run& r, int off, std::size_t n, std::size_t done) {
+         // Mirror of buffer_to_triples_into, in stream units.
+         const int b0 = r.flat / 3, b1 = (r.flat + r.odd) / 3, st = r.step / 3;
+         const std::uint8_t* s0 = streams[r.flat % 3];
+         const std::uint8_t* s1 = streams[(r.flat + r.odd) % 3];
+         std::uint8_t* o = out.data() + done;
+         std::size_t i = 0;
+         int p = st * (off / 2);
+         if (off % 2) o[i++] = s1[b1 + p], p += st;
+         for (; i + 1 < n; i += 2, p += st) {
+           o[i] = s0[b0 + p];
+           o[i + 1] = s1[b1 + p];
+         }
+         if (i < n) o[i] = s0[b0 + p];
+       });
   return out;
 }
 
 void RateMatcher::dematch_accumulate(std::span<const std::int16_t> llr,
                                      int rv,
                                      std::span<std::int16_t> w_llr) const {
-  const int ncb = 3 * map_.geo.kp;
-  if (w_llr.size() != static_cast<std::size_t>(ncb)) {
+  if (w_llr.size() != static_cast<std::size_t>(buffer_size())) {
     throw std::invalid_argument("dematch_accumulate: w_llr size mismatch");
   }
-  // Mirror of match(): each circle consumes exactly usable_ LLRs, so an
-  // input longer than the repetition cap can only come from a corrupted
-  // E — refuse it rather than wrap (near-)endlessly.
-  if (llr.size() >
-      static_cast<std::size_t>(kMaxRepetition) *
-          static_cast<std::size_t>(usable_)) {
+  // Mirror of match()'s cap: a longer input means a corrupted E.
+  if (llr.size() > std::size_t{kMaxRepetition} * std::size_t(usable_size())) {
     throw std::invalid_argument(
         "dematch_accumulate: llr length exceeds repetition cap");
   }
-  const int start = k0(rv);
-  const std::int64_t max_steps =
-      static_cast<std::int64_t>(llr.size() / static_cast<std::size_t>(usable_) +
-                                2) *
-      ncb;
-  std::size_t used = 0;
-  for (std::int64_t j = 0; used < llr.size(); ++j) {
-    if (j >= max_steps) {
-      throw std::logic_error(
-          "dematch_accumulate: wrap loop did not advance");
-    }
-    const int w = static_cast<int>((start + j) % ncb);
-    if (w_src_[static_cast<std::size_t>(w)] < 0) continue;
-    // Symmetric clamp (±32767), NOT paddsw: an accumulator pinned at
-    // INT16_MIN could never be cancelled by +32767, biasing soft
-    // decisions across retransmissions. See sat_add16_sym.
-    w_llr[static_cast<std::size_t>(w)] =
-        sat_add16_sym(w_llr[static_cast<std::size_t>(w)], llr[used++]);
-  }
+  walk(runs_, k0(rv), llr.size(),
+       [&](const Run& r, int off, std::size_t n, std::size_t done) {
+         accumulate_sym(w_llr.data() + r.w + off, llr.data() + done, n);
+       });
 }
 
 AlignedVector<std::int16_t> RateMatcher::buffer_to_triples(
@@ -175,24 +176,27 @@ AlignedVector<std::int16_t> RateMatcher::buffer_to_triples(
 void RateMatcher::buffer_to_triples_into(
     std::span<const std::int16_t> w_llr,
     std::span<std::int16_t> triples) const {
-  const int ncb = 3 * map_.geo.kp;
-  if (w_llr.size() != static_cast<std::size_t>(ncb)) {
+  if (w_llr.size() != static_cast<std::size_t>(buffer_size())) {
     throw std::invalid_argument("buffer_to_triples: size mismatch");
   }
-  const std::size_t d = static_cast<std::size_t>(k_) + kTurboTail;
-  if (triples.size() != 3 * d) {
+  if (triples.size() != static_cast<std::size_t>(usable_size())) {
     throw std::invalid_argument("buffer_to_triples: triples size mismatch");
   }
-  std::fill(triples.begin(), triples.end(), std::int16_t{0});
-  for (int w = 0; w < ncb; ++w) {
-    const std::int32_t src = w_src_[static_cast<std::size_t>(w)];
-    if (src >= 0) triples[static_cast<std::size_t>(src)] = w_llr[static_cast<std::size_t>(w)];
+  // The runs cover every flat index exactly once, so no pre-fill.
+  for (const Run& r : runs_) {
+    const std::int16_t* src = w_llr.data() + r.w;
+    std::int16_t* dst = triples.data() + r.flat;
+    for (int i = 0; i + 1 < r.n; i += 2, dst += r.step) {
+      dst[0] = src[i];
+      dst[r.odd] = src[i + 1];
+    }
+    if (r.n % 2) dst[0] = src[r.n - 1];
   }
 }
 
 AlignedVector<std::int16_t> RateMatcher::dematch(
     std::span<const std::int16_t> llr, int rv) const {
-  AlignedVector<std::int16_t> w(static_cast<std::size_t>(3 * map_.geo.kp), 0);
+  AlignedVector<std::int16_t> w(static_cast<std::size_t>(buffer_size()), 0);
   dematch_accumulate(llr, rv, w);
   return buffer_to_triples(w);
 }

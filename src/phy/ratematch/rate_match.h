@@ -31,16 +31,6 @@ SubblockGeometry subblock_geometry(int d);
 /// The inter-column permutation pattern (36.212 Table 5.1.4-1).
 std::span<const int> subblock_column_permutation();
 
-/// Position maps: perm0[i] = index into the null-padded input y (0..kp)
-/// that lands at output position i, for streams d0/d1; perm2 for d2.
-/// Entries referring to a null position are flagged via `is_null`.
-struct SubblockMap {
-  SubblockGeometry geo;
-  std::vector<int> v0_src;  ///< for d0 and d1
-  std::vector<int> v2_src;  ///< for d2
-};
-SubblockMap subblock_map(int d);
-
 /// Rate matcher for one code block; reusable across calls of equal K.
 class RateMatcher {
  public:
@@ -49,7 +39,7 @@ class RateMatcher {
 
   int block_size() const { return k_; }
   /// Circular-buffer length K_w = 3 * K_pi.
-  int buffer_size() const { return 3 * map_.geo.kp; }
+  int buffer_size() const { return 3 * geo_.kp; }
   /// buffer_size() for block size `k` without constructing a matcher —
   /// lets callers size HARQ/workspace buffers up front.
   static int buffer_size_for(int k);
@@ -91,17 +81,23 @@ class RateMatcher {
                               std::span<std::int16_t> triples) const;
 
   /// Hard ceiling on circular-buffer repetition: match()/dematch paths
-  /// refuse E > kMaxRepetition * usable_size() instead of spinning the
-  /// wrap loop essentially forever on absurd inputs. 36.212 practice is
-  /// E <= ~3 circles; 64 leaves generous headroom for stress tests.
+  /// refuse E > kMaxRepetition * usable_size() as a corrupted grant.
+  /// 36.212 practice is E <= ~3 circles; 64 leaves headroom for stress.
   static constexpr int kMaxRepetition = 64;
 
  private:
+  /// A stretch of consecutive non-null circular-buffer positions
+  /// [w, w + n), all inside one sub-block column. Position w + i holds
+  /// flat d-stream index (3 * p + stream) flat + step * (i / 2) +
+  /// odd * (i % 2): step 192 / odd 96 for one stream, step 96 / odd 4 for
+  /// the interlaced (d1, d2) pairs.
+  struct Run {
+    std::int32_t w, n, flat, step, odd;
+  };
+
   int k_;
-  SubblockMap map_;
-  std::vector<std::int32_t> w_src_;   ///< buffer pos -> d-stream flat index
-                                      ///< (3*k + stream), -1 for nulls
-  int usable_ = 0;                    ///< cached non-null position count
+  SubblockGeometry geo_;
+  std::vector<Run> runs_;  ///< in buffer order; at most 66
 };
 
 }  // namespace vran::phy

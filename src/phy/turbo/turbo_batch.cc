@@ -60,7 +60,7 @@ void map_decode_batch(IsaLevel isa, std::size_t k, const std::int16_t* gs_step,
 }
 
 /// Batch-transpose arrangement: dst[step * nw + s] = srcs[s][step] for
-/// nw streams of n int16 (n divisible by 8, all pointers 16B-aligned).
+/// nw streams of n int16 (n divisible by 8; any alignment).
 /// SSE2 unpack trees — always available on x86-64, so this lives in the
 /// ISA-neutral TU.
 void transpose_step_major(const std::int16_t* const srcs[], int nw,
@@ -71,40 +71,40 @@ void transpose_step_major(const std::int16_t* const srcs[], int nw,
   }
   if (nw == 2) {
     for (std::size_t k = 0; k < n; k += 8) {
-      const __m128i a = _mm_load_si128(
+      const __m128i a = _mm_loadu_si128(
           reinterpret_cast<const __m128i*>(srcs[0] + k));
-      const __m128i b = _mm_load_si128(
+      const __m128i b = _mm_loadu_si128(
           reinterpret_cast<const __m128i*>(srcs[1] + k));
-      _mm_store_si128(reinterpret_cast<__m128i*>(dst + 2 * k),
-                      _mm_unpacklo_epi16(a, b));
-      _mm_store_si128(reinterpret_cast<__m128i*>(dst + 2 * k + 8),
-                      _mm_unpackhi_epi16(a, b));
+      _mm_storeu_si128(reinterpret_cast<__m128i*>(dst + 2 * k),
+                       _mm_unpacklo_epi16(a, b));
+      _mm_storeu_si128(reinterpret_cast<__m128i*>(dst + 2 * k + 8),
+                       _mm_unpackhi_epi16(a, b));
     }
     return;
   }
   // nw == 4: 4x8 int16 transpose per 8-step chunk.
   for (std::size_t k = 0; k < n; k += 8) {
     const __m128i a =
-        _mm_load_si128(reinterpret_cast<const __m128i*>(srcs[0] + k));
+        _mm_loadu_si128(reinterpret_cast<const __m128i*>(srcs[0] + k));
     const __m128i b =
-        _mm_load_si128(reinterpret_cast<const __m128i*>(srcs[1] + k));
+        _mm_loadu_si128(reinterpret_cast<const __m128i*>(srcs[1] + k));
     const __m128i c =
-        _mm_load_si128(reinterpret_cast<const __m128i*>(srcs[2] + k));
+        _mm_loadu_si128(reinterpret_cast<const __m128i*>(srcs[2] + k));
     const __m128i d =
-        _mm_load_si128(reinterpret_cast<const __m128i*>(srcs[3] + k));
+        _mm_loadu_si128(reinterpret_cast<const __m128i*>(srcs[3] + k));
     const __m128i t0 = _mm_unpacklo_epi16(a, b);
     const __m128i t1 = _mm_unpacklo_epi16(c, d);
     const __m128i t2 = _mm_unpackhi_epi16(a, b);
     const __m128i t3 = _mm_unpackhi_epi16(c, d);
     std::int16_t* o = dst + 4 * k;
-    _mm_store_si128(reinterpret_cast<__m128i*>(o),
-                    _mm_unpacklo_epi32(t0, t1));
-    _mm_store_si128(reinterpret_cast<__m128i*>(o + 8),
-                    _mm_unpackhi_epi32(t0, t1));
-    _mm_store_si128(reinterpret_cast<__m128i*>(o + 16),
-                    _mm_unpacklo_epi32(t2, t3));
-    _mm_store_si128(reinterpret_cast<__m128i*>(o + 24),
-                    _mm_unpackhi_epi32(t2, t3));
+    _mm_storeu_si128(reinterpret_cast<__m128i*>(o),
+                     _mm_unpacklo_epi32(t0, t1));
+    _mm_storeu_si128(reinterpret_cast<__m128i*>(o + 8),
+                     _mm_unpackhi_epi32(t0, t1));
+    _mm_storeu_si128(reinterpret_cast<__m128i*>(o + 16),
+                     _mm_unpacklo_epi32(t2, t3));
+    _mm_storeu_si128(reinterpret_cast<__m128i*>(o + 24),
+                     _mm_unpackhi_epi32(t2, t3));
   }
 }
 

@@ -16,10 +16,10 @@ struct Avx2Ops {
   static constexpr int kWindows = 2;
 
   static reg load(const void* p) {
-    return _mm256_load_si256(static_cast<const __m256i*>(p));
+    return _mm256_loadu_si256(static_cast<const __m256i*>(p));
   }
   static void store(void* p, reg v) {
-    _mm256_store_si256(static_cast<__m256i*>(p), v);
+    _mm256_storeu_si256(static_cast<__m256i*>(p), v);
   }
   static reg pattern(const std::uint8_t* p) { return load(p); }
   static reg mask(const std::uint16_t* p) { return load(p); }

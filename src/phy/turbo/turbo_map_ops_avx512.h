@@ -14,8 +14,8 @@ struct Avx512Ops {
   using reg = __m512i;
   static constexpr int kWindows = 4;
 
-  static reg load(const void* p) { return _mm512_load_si512(p); }
-  static void store(void* p, reg v) { _mm512_store_si512(p, v); }
+  static reg load(const void* p) { return _mm512_loadu_si512(p); }
+  static void store(void* p, reg v) { _mm512_storeu_si512(p, v); }
   static reg pattern(const std::uint8_t* p) { return load(p); }
   static reg mask(const std::uint16_t* p) { return load(p); }
   static reg sat_add(reg a, reg b) { return _mm512_adds_epi16(a, b); }

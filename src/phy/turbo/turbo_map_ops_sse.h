@@ -15,10 +15,10 @@ struct SseOps {
   static constexpr int kWindows = 1;
 
   static reg load(const void* p) {
-    return _mm_load_si128(static_cast<const __m128i*>(p));
+    return _mm_loadu_si128(static_cast<const __m128i*>(p));
   }
   static void store(void* p, reg v) {
-    _mm_store_si128(static_cast<__m128i*>(p), v);
+    _mm_storeu_si128(static_cast<__m128i*>(p), v);
   }
   static reg pattern(const std::uint8_t* p) { return load(p); }
   static reg mask(const std::uint16_t* p) { return load(p); }

@@ -237,6 +237,32 @@ TEST(BitIo, PartialUnpackAndBounds) {
   EXPECT_THROW(unpack_bits(std::span(&byte, 1), 9), std::invalid_argument);
 }
 
+TEST(BitIo, PackAndUnpackMatchPerBitReferencesOnOddTails) {
+  // Every length 0..80 covers each tail size 0..7 after 0..9 whole
+  // bytes; the packer must take only bit 0 of arbitrary input bytes.
+  Xoshiro256 rng(13);
+  for (std::size_t n = 0; n <= 80; ++n) {
+    std::vector<std::uint8_t> bits(n);
+    for (auto& b : bits) b = static_cast<std::uint8_t>(rng.next());
+    std::vector<std::uint8_t> want((n + 7) / 8, 0);
+    for (std::size_t i = 0; i < n; ++i) {
+      want[i / 8] |= static_cast<std::uint8_t>((bits[i] & 1u) << (7 - i % 8));
+    }
+    std::vector<std::uint8_t> got(want.size(), 0xA5);
+    pack_bits_into(bits, got);
+    ASSERT_EQ(got, want) << "n=" << n;
+    ASSERT_EQ(pack_bits(bits), want) << "n=" << n;
+
+    std::vector<std::uint8_t> bytes(n / 8 + 1);
+    for (auto& b : bytes) b = static_cast<std::uint8_t>(rng.next());
+    std::vector<std::uint8_t> want_bits(n);
+    for (std::size_t i = 0; i < n; ++i) {
+      want_bits[i] = (bytes[i / 8] >> (7 - i % 8)) & 1u;
+    }
+    ASSERT_EQ(unpack_bits(bytes, n), want_bits) << "n=" << n;
+  }
+}
+
 TEST(BitIo, AppendReadRoundTrip) {
   std::vector<std::uint8_t> bits;
   append_bits(bits, 0xABC, 12);

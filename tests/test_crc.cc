@@ -80,6 +80,39 @@ TEST(Crc, MaskedRntiRoundTrip) {
   EXPECT_FALSE(crc16_check_masked(tx, 0xC0FE));  // corrupted payload
 }
 
+// Bit-at-a-time reference straight from the 36.212 shift-register
+// definition; only bit 0 of each input byte counts.
+std::uint32_t crc_bits_ref(std::span<const std::uint8_t> bits, CrcType t) {
+  const int len = crc_length(t);
+  const std::uint32_t top = 1u << (len - 1);
+  const std::uint32_t mask = (1u << len) - 1;
+  std::uint32_t r = 0;
+  for (const std::uint8_t b : bits) {
+    const bool x = ((r & top) != 0) ^ ((b & 1u) != 0);
+    r = ((r << 1) ^ (x ? crc_polynomial(t) : 0u)) & mask;
+  }
+  return r;
+}
+
+TEST(Crc, BitsMatchBitwiseReferenceAtEveryLength) {
+  // Random bytes, not just 0/1: the packed path must mask each to bit 0.
+  Xoshiro256 rng(11);
+  std::vector<std::size_t> lengths;
+  for (std::size_t n = 0; n <= 300; ++n) lengths.push_back(n);
+  for (std::size_t n : {4224u, 6144u, 12464u}) lengths.push_back(n);
+  for (auto t : {CrcType::k24A, CrcType::k24B, CrcType::k16, CrcType::k8}) {
+    for (const std::size_t n : lengths) {
+      std::vector<std::uint8_t> bytes(n);
+      for (auto& b : bytes) b = static_cast<std::uint8_t>(rng.next());
+      ASSERT_EQ(crc_bits(bytes, t), crc_bits_ref(bytes, t))
+          << "type=" << int(t) << " n=" << n;
+      for (auto& b : bytes) b &= 1u;
+      ASSERT_EQ(crc_bits(bytes, t), crc_bits_ref(bytes, t))
+          << "type=" << int(t) << " n=" << n << " (0/1 input)";
+    }
+  }
+}
+
 TEST(Crc, ZeroMessageNonTrivialBehaviour) {
   // All-zero message has zero CRC (linear code); appending it still checks.
   std::vector<std::uint8_t> bits(40, 0);

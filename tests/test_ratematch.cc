@@ -7,7 +7,9 @@
 #include <numeric>
 
 #include "common/rng.h"
+#include "common/saturate.h"
 #include "phy/ratematch/rate_match.h"
+#include "phy/turbo/qpp_interleaver.h"
 #include "phy/turbo/turbo_encoder.h"
 
 namespace vran::phy {
@@ -18,6 +20,198 @@ std::vector<std::uint8_t> random_bits(std::size_t n, std::uint64_t seed) {
   Xoshiro256 rng(seed);
   for (auto& x : b) x = static_cast<std::uint8_t>(rng.next() & 1);
   return b;
+}
+
+// 36.212 §5.1.4.1.1 sub-block interleaver, one position at a time:
+// v0_src[i] is the index into the null-padded stream y (nulls first)
+// that lands at output i for d0 and d1, v2_src[i] the same for d2.
+struct SubblockMap {
+  SubblockGeometry geo;
+  std::vector<int> v0_src, v2_src;
+};
+
+SubblockMap subblock_map(int d) {
+  SubblockMap m;
+  m.geo = subblock_geometry(d);
+  const int rows = m.geo.rows;
+  const auto perm = subblock_column_permutation();
+  // d0/d1: write y row by row into R x 32, permute columns, read by
+  // column. d2: pi(k) = (P[k / R] + 32 * (k mod R) + 1) mod kp.
+  for (int k = 0; k < m.geo.kp; ++k) {
+    const int col = perm[static_cast<std::size_t>(k / rows)];
+    m.v0_src.push_back(32 * (k % rows) + col);
+    m.v2_src.push_back((col + 32 * (k % rows) + 1) % m.geo.kp);
+  }
+  return m;
+}
+
+// Position-at-a-time reference: the per-position map (circular-buffer
+// position -> flat d-stream index 3 * p + stream, -1 for nulls) and the
+// modulo wrap loop the run-table implementation must reproduce exactly.
+struct RefMatcher {
+  int k;
+  int ncb;
+  std::vector<int> w_src;
+
+  explicit RefMatcher(int k_) : k(k_) {
+    const auto m = subblock_map(k + kTurboTail);
+    const int kp = m.geo.kp;
+    ncb = 3 * kp;
+    w_src.assign(static_cast<std::size_t>(ncb), -1);
+    for (int j = 0; j < kp; ++j) {
+      const auto ju = static_cast<std::size_t>(j);
+      const int y0 = m.v0_src[ju] - m.geo.nulls;
+      const int y2 = m.v2_src[ju] - m.geo.nulls;
+      if (y0 >= 0) w_src[ju] = 3 * y0;
+      if (y0 >= 0) w_src[static_cast<std::size_t>(kp + 2 * j)] = 3 * y0 + 1;
+      if (y2 >= 0) w_src[static_cast<std::size_t>(kp + 2 * j + 1)] = 3 * y2 + 2;
+    }
+  }
+
+  int k0(int rv) const {
+    const int r = ncb / 96;
+    return r * (2 * ((ncb + 8 * r - 1) / (8 * r)) * rv + 2);
+  }
+
+  // Buffer positions visited by E consecutive non-null selections.
+  std::vector<int> positions(int e, int rv) const {
+    std::vector<int> pos;
+    for (int j = 0; static_cast<int>(pos.size()) < e; ++j) {
+      const int w = (k0(rv) + j) % ncb;
+      if (w_src[static_cast<std::size_t>(w)] >= 0) pos.push_back(w);
+    }
+    return pos;
+  }
+
+  std::vector<std::uint8_t> match(const TurboCodeword& cw, int e,
+                                  int rv) const {
+    const std::uint8_t* s[3] = {cw.d0.data(), cw.d1.data(), cw.d2.data()};
+    std::vector<std::uint8_t> out;
+    for (const int w : positions(e, rv)) {
+      const int f = w_src[static_cast<std::size_t>(w)];
+      out.push_back(s[f % 3][f / 3]);
+    }
+    return out;
+  }
+
+  void accumulate(std::span<const std::int16_t> llr, int rv,
+                  std::span<std::int16_t> w_llr) const {
+    const auto pos = positions(static_cast<int>(llr.size()), rv);
+    for (std::size_t i = 0; i < pos.size(); ++i) {
+      auto& acc = w_llr[static_cast<std::size_t>(pos[i])];
+      acc = sat_add16_sym(acc, llr[i]);
+    }
+  }
+
+  std::vector<std::int16_t> triples(std::span<const std::int16_t> w_llr) const {
+    std::vector<std::int16_t> t(3 * static_cast<std::size_t>(k + kTurboTail));
+    for (int w = 0; w < ncb; ++w) {
+      const int f = w_src[static_cast<std::size_t>(w)];
+      if (f < 0) continue;
+      t[static_cast<std::size_t>(f)] = w_llr[static_cast<std::size_t>(w)];
+    }
+    return t;
+  }
+};
+
+// LLRs that hit the saturation corners: extremes (INT16_MIN included)
+// half the time, small values otherwise.
+AlignedVector<std::int16_t> corner_llrs(std::size_t n, Xoshiro256& rng) {
+  static constexpr std::int16_t kEdge[] = {INT16_MIN, -32767, -32766, -1, 0,
+                                           1, 32766, 32767};
+  AlignedVector<std::int16_t> v(n);
+  for (auto& x : v) {
+    x = rng.coin() ? kEdge[rng.bounded(std::size(kEdge))]
+                   : static_cast<std::int16_t>(
+                         static_cast<int>(rng.bounded(65536)) - 32768);
+  }
+  return v;
+}
+
+TEST(RateMatchExact, MatchesPositionReferenceForEveryK) {
+  Xoshiro256 rng(2024);
+  for (const int k : qpp_block_sizes()) {
+    const RateMatcher rm(k);
+    const RefMatcher ref(k);
+    ASSERT_EQ(rm.buffer_size(), ref.ncb);
+    const auto cw = turbo_encode(random_bits(static_cast<std::size_t>(k),
+                                             static_cast<std::uint64_t>(k)));
+    const int u = rm.usable_size();
+    for (int rv = 0; rv < 4; ++rv) {
+      ASSERT_EQ(rm.k0(rv), ref.k0(rv)) << "k=" << k;
+      for (const int e : {1, 2, 7, u / 3, u - 1, u, u + 1, 3 * u + 5}) {
+        ASSERT_EQ(rm.match(cw, e, rv), ref.match(cw, e, rv))
+            << "k=" << k << " rv=" << rv << " e=" << e;
+        // Accumulators start near the rails so every add saturates
+        // somewhere.
+        auto w = corner_llrs(static_cast<std::size_t>(ref.ncb), rng);
+        auto w_ref = w;
+        const auto llr = corner_llrs(static_cast<std::size_t>(e), rng);
+        rm.dematch_accumulate(llr, rv, w);
+        ref.accumulate(llr, rv, w_ref);
+        ASSERT_EQ(w, w_ref) << "k=" << k << " rv=" << rv << " e=" << e;
+        // Stale contents: every triple must be overwritten.
+        AlignedVector<std::int16_t> t(
+            3 * static_cast<std::size_t>(k + kTurboTail), std::int16_t{7});
+        rm.buffer_to_triples_into(w, t);
+        const auto t_ref = ref.triples(w_ref);
+        ASSERT_TRUE(std::equal(t.begin(), t.end(), t_ref.begin(), t_ref.end()))
+            << "k=" << k << " rv=" << rv << " e=" << e;
+      }
+    }
+  }
+}
+
+TEST(RateMatchExact, AnyStreamLengthIncludingNoNulls) {
+  // Legal K always leaves 4..28 nulls; other lengths reach nulls == 0,
+  // where column 31's last d2 position wraps to d2[0].
+  Xoshiro256 rng(5);
+  for (int k = 1; k <= 160; ++k) {
+    const RateMatcher rm(k);
+    const RefMatcher ref(k);
+    TurboCodeword cw;
+    for (auto* v : {&cw.d0, &cw.d1, &cw.d2}) {
+      *v = random_bits(static_cast<std::size_t>(k + kTurboTail), rng.next());
+    }
+    const int u = rm.usable_size();
+    for (int rv = 0; rv < 4; ++rv) {
+      for (const int e : {1, u / 2, u, 2 * u + 3}) {
+        ASSERT_EQ(rm.match(cw, e, rv), ref.match(cw, e, rv))
+            << "k=" << k << " rv=" << rv << " e=" << e;
+        auto w = corner_llrs(static_cast<std::size_t>(ref.ncb), rng);
+        auto w_ref = w;
+        const auto llr = corner_llrs(static_cast<std::size_t>(e), rng);
+        rm.dematch_accumulate(llr, rv, w);
+        ref.accumulate(llr, rv, w_ref);
+        ASSERT_EQ(w, w_ref) << "k=" << k << " rv=" << rv << " e=" << e;
+        const auto t = rm.buffer_to_triples(w);
+        const auto t_ref = ref.triples(w_ref);
+        ASSERT_TRUE(std::equal(t.begin(), t.end(), t_ref.begin(), t_ref.end()))
+            << "k=" << k << " rv=" << rv << " e=" << e;
+      }
+    }
+  }
+}
+
+TEST(RateMatchExact, HarqChainMatchesPositionReference) {
+  // Redundancy versions in HARQ order 0 -> 2 -> 3 -> 1 into one buffer.
+  Xoshiro256 rng(77);
+  for (const int k : {40, 1008, 4224, 6144}) {
+    const RateMatcher rm(k);
+    const RefMatcher ref(k);
+    AlignedVector<std::int16_t> w(static_cast<std::size_t>(ref.ncb), 0);
+    auto w_ref = w;
+    for (const int rv : {0, 2, 3, 1}) {
+      const auto llr = corner_llrs(
+          static_cast<std::size_t>(rm.usable_size()) * 2 / 3 + 11, rng);
+      rm.dematch_accumulate(llr, rv, w);
+      ref.accumulate(llr, rv, w_ref);
+      ASSERT_EQ(w, w_ref) << "k=" << k << " rv=" << rv;
+    }
+    const auto t = rm.buffer_to_triples(w);
+    const auto t_ref = ref.triples(w_ref);
+    EXPECT_TRUE(std::equal(t.begin(), t.end(), t_ref.begin(), t_ref.end()));
+  }
 }
 
 TEST(Subblock, GeometryBasics) {

@@ -5,6 +5,7 @@
 // zero-iteration configs, reused-decoder determinism).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <stdexcept>
 #include <vector>
 
@@ -108,6 +109,86 @@ void expect_batch_matches_single(IsaLevel isa, int k, int batch_size,
     EXPECT_EQ(br.iterations, rr.iterations) << "K=" << k << " block " << b;
     EXPECT_EQ(br.crc_ok, rr.crc_ok) << "K=" << k << " block " << b;
     EXPECT_EQ(br.converged, rr.converged) << "K=" << k << " block " << b;
+  }
+}
+
+/// `src` copied to `byte_offset` bytes past a 64-byte boundary inside
+/// `storage`, so no tier's vector width divides the input address.
+std::span<const std::int16_t> at_offset(const AlignedVector<std::int16_t>& src,
+                                        std::size_t byte_offset,
+                                        AlignedVector<std::int16_t>& storage) {
+  const std::size_t skip = byte_offset / sizeof(std::int16_t);
+  storage.assign(src.size() + skip, 0);
+  std::copy(src.begin(), src.end(),
+            storage.begin() + static_cast<std::ptrdiff_t>(skip));
+  return std::span<const std::int16_t>(storage).subspan(skip, src.size());
+}
+
+TEST(TurboAlignment, OffsetInputsDecodeIdenticallyAtEveryTier) {
+  // The MAP kernels must not assume vector-aligned input streams: plain
+  // std::vector storage is only 16-byte aligned.
+  const int k = 1024;
+  for (const IsaLevel isa :
+       {IsaLevel::kSse41, IsaLevel::kAvx2, IsaLevel::kAvx512}) {
+    if (isa > best_isa()) continue;
+    const int cap = TurboBatchDecoder::lane_capacity(isa);
+    std::vector<NoisyBlock> blocks;
+    for (int b = 0; b < cap; ++b) {
+      blocks.push_back(make_block(k, 40 + static_cast<std::uint64_t>(b), 60, 70,
+                                  /*crc24b=*/true));
+    }
+    TurboDecodeConfig dc;
+    dc.isa = isa;
+    dc.crc = CrcType::k24B;
+    TurboBatchConfig bc;
+    bc.isa = isa;
+    bc.crc = CrcType::k24B;
+
+    std::vector<std::vector<std::uint8_t>> want_single, want_batch;
+    std::vector<TurboDecodeResult> want_single_res;
+    std::vector<TurboBatchResult> want_batch_res;
+    for (const std::size_t offset : {0u, 2u, 16u, 32u}) {
+      std::vector<AlignedVector<std::int16_t>> storage(3 * blocks.size());
+      std::vector<TurboBatchInput> inputs;
+      for (std::size_t b = 0; b < blocks.size(); ++b) {
+        inputs.push_back({at_offset(blocks[b].sys, offset, storage[3 * b]),
+                          at_offset(blocks[b].p1, offset, storage[3 * b + 1]),
+                          at_offset(blocks[b].p2, offset, storage[3 * b + 2])});
+      }
+      std::vector<std::vector<std::uint8_t>> single(
+          blocks.size(),
+          std::vector<std::uint8_t>(static_cast<std::size_t>(k)));
+      std::vector<TurboDecodeResult> single_res;
+      TurboDecoder dec(k, dc);
+      for (std::size_t b = 0; b < blocks.size(); ++b) {
+        single_res.push_back(dec.decode_arranged(inputs[b].sys, inputs[b].p1,
+                                                 inputs[b].p2, single[b]));
+      }
+      auto batch = single;
+      std::vector<std::span<std::uint8_t>> outs(batch.begin(), batch.end());
+      std::vector<TurboBatchResult> batch_res(blocks.size());
+      TurboBatchDecoder(k, bc).decode_arranged(inputs, outs, batch_res);
+      if (offset == 0) {
+        want_single = single;
+        want_batch = batch;
+        want_single_res = single_res;
+        want_batch_res = batch_res;
+        continue;
+      }
+      for (std::size_t b = 0; b < blocks.size(); ++b) {
+        const auto where = ::testing::Message()
+                           << "isa=" << isa_name(isa) << " offset=" << offset
+                           << " block " << b;
+        EXPECT_EQ(single[b], want_single[b]) << where;
+        EXPECT_EQ(single_res[b].iterations, want_single_res[b].iterations)
+            << where;
+        EXPECT_EQ(single_res[b].crc_ok, want_single_res[b].crc_ok) << where;
+        EXPECT_EQ(batch[b], want_batch[b]) << where;
+        EXPECT_EQ(batch_res[b].iterations, want_batch_res[b].iterations)
+            << where;
+        EXPECT_EQ(batch_res[b].crc_ok, want_batch_res[b].crc_ok) << where;
+      }
+    }
   }
 }
 
